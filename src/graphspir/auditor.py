@@ -34,8 +34,9 @@ from .graph import Graph
 from .protocol import (
     ServerStore,
     SystemState,
+    _answer_slot,
+    gen_queries,
     run_round_with_coeffs,
-    server_answer_slot,
     server_query,
     state_from_values,
 )
@@ -288,9 +289,10 @@ def check_reliability(
         graph._check_vertex(drop_server)
     q = field.modulus
     k = graph.n_edges
-    servers = [n for n in range(1, graph.n_vertices + 1) if n != drop_server]
-    held = {n: graph.incident_edges(n) for n in servers}
-    signs = {n: [graph.edge_sign(n, e) for e in held[n]] for n in servers}
+    # decoding sums the kept answers, so each message and pad symbol enters
+    # with the sum of its kept holders' query entries or incidence signs
+    kept = [n for n in range(1, graph.n_vertices + 1) if n != drop_server]
+    pad_weights = _edge_totals(graph, kept, graph.incident_signs)
 
     slot_variants = []
     if pad_length > 0:
@@ -304,28 +306,15 @@ def check_reliability(
         enumerated = 0
         for padded in slot_variants:
             pad_space = list(field.iter_vectors(k)) if padded else [None]
-            pad_totals = []
-            for pads in pad_space:
-                if pads is None:
-                    pad_totals.append((None, 0))
-                    continue
-                total = 0
-                for n in servers:
-                    for sign, e in zip(signs[n], held[n]):
-                        total += sign * pads[e - 1]
-                pad_totals.append((pads, total % q))
+            pad_totals = [
+                (pads, sum(w * p for w, p in zip(pad_weights, pads)) % q if pads else 0)
+                for pads in pad_space
+            ]
             for coeffs in field.iter_vectors(k):
-                queries = {
-                    n: server_query(
-                        graph, field, target, n, [coeffs[e - 1] for e in held[n]]
-                    )
-                    for n in servers
-                }
+                queries = gen_queries(graph, field, target, coeffs)
+                weights = _edge_totals(graph, kept, lambda n: queries[n - 1])
                 for messages in field.iter_vectors(k):
-                    dot_sum = 0
-                    for n in servers:
-                        for c, e in zip(queries[n], held[n]):
-                            dot_sum += c * messages[e - 1]
+                    dot_sum = sum(w * m for w, m in zip(weights, messages))
                     expected = messages[target - 1]
                     for pads, pad_total in pad_totals:
                         enumerated += 1
@@ -352,6 +341,16 @@ def check_reliability(
             )
         )
     return results
+
+
+def _edge_totals(graph, servers, row) -> list[int]:
+    """Per message, the sum over ``servers`` of the entries of ``row(n)``,
+    a vector aligned with server ``n``'s held edges."""
+    totals = [0] * graph.n_edges
+    for n in servers:
+        for e, x in zip(graph.incident_edges(n), row(n)):
+            totals[e - 1] += x
+    return totals
 
 
 def _reliability_witness(graph, field, message_length, pad_length, target, drop_server, failure):
@@ -418,28 +417,22 @@ def server_view_table(
     graph._check_edge(target)
     held = graph.incident_edges(server)
     delta = len(held)
-    store_signs = tuple(graph.edge_sign(server, e) for e in held)
-    if mask_queries:
-        query_space = [
-            tuple(
-                server_query(graph, field, target, server, coeffs)
-                for coeffs in slot_coeffs
-            )
-            for slot_coeffs in itertools.product(
-                field.iter_vectors(delta), repeat=message_length
-            )
-        ]
-    else:
-        query_space = [_raw_selector_queries(graph, field, target, server, message_length)]
+    # the raw selector is the query with every mask coefficient zero
+    coeff_space = field.iter_vectors(delta) if mask_queries else [(0,) * delta]
+    query_space = [
+        tuple(server_query(graph, field, target, server, coeffs) for coeffs in slot_coeffs)
+        for slot_coeffs in itertools.product(coeff_space, repeat=message_length)
+    ]
+    signs = graph.incident_signs(server)
     table = Counter()
     for queries in query_space:
         for messages in itertools.product(
             field.iter_vectors(message_length), repeat=delta
         ):
             for pads in itertools.product(field.iter_vectors(pad_length), repeat=delta):
-                store = ServerStore(server, held, store_signs, messages, pads)
+                store = ServerStore(server, held, signs, messages, pads)
                 answer = tuple(
-                    server_answer_slot(store, queries[t], field, t)
+                    _answer_slot(store, queries[t], field.modulus, t)
                     for t in range(message_length)
                 )
                 table[(queries, answer, messages, pads)] += 1
@@ -498,16 +491,6 @@ def check_user_privacy(
                 )
             )
     return results
-
-
-def _raw_selector_queries(graph, field, target, server, message_length):
-    """Sabotaged queries: the bare unit selector, no mask coefficients."""
-    held = graph.incident_edges(server)
-    query = [0] * len(held)
-    _, larger = graph.message_holders(target)
-    if server == larger:
-        query[held.index(target)] = 1
-    return tuple(tuple(query) for _ in range(message_length))
 
 
 def _table_difference_witness(reference: Counter, other: Counter) -> dict:

@@ -8,6 +8,7 @@ bound is reported. Reference values for the weaker, non-symmetric variant
 of the problem are tabulated for paths (``2/N``) and cycles (``2/(N+1)``).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,11 +21,10 @@ def achievable_rate(g: Graph) -> Fraction:
 
 
 def is_path(g: Graph) -> bool:
-    """Structurally a path: connected with exactly two degree-1 endpoints."""
-    degrees = sorted(g.degree(v) for v in range(1, g.n_vertices + 1))
-    if g.n_vertices == 2:
-        return degrees == [1, 1]
-    return degrees[:2] == [1, 1] and set(degrees[2:]) == {2}
+    """Structurally a path: connected with exactly two degree-1 endpoints
+    and every other vertex of degree 2."""
+    degrees = Counter(g.degree(v) for v in range(1, g.n_vertices + 1))
+    return degrees[1] == 2 and degrees[2] == g.n_vertices - 2
 
 
 def is_cycle(g: Graph) -> bool:

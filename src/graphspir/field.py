@@ -9,13 +9,40 @@ import itertools
 from dataclasses import dataclass
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# for every n below this bound (Sorenson & Webster, "Strong pseudoprimes to
+# twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_EXACT_BELOW:
+        return _is_prime_by_trial_division(n)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _is_prime_by_trial_division(n: int) -> bool:
+    """Exact for odd ``n``; the fallback above the Miller-Rabin bound."""
     f = 3
     while f * f <= n:
         if n % f == 0:

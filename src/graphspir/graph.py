@@ -8,6 +8,7 @@ message indexing of a user-supplied graph is stable.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,8 @@ class Graph:
             if len(edge) != 2:
                 raise ValueError(f"edge {edge!r} is not a pair")
             u, v = edge
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in edge):
+                raise ValueError(f"edge {edge!r} has a non-integer endpoint")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge {edge} has an endpoint outside 1..{n}")
             if u == v:
@@ -57,9 +60,26 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def _incidence(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per vertex, its held edges (ascending 1-based indices) and their
+        signs: the nonzero entries of its row of ``signed_incidence``.
+
+        Built once per graph on first use. ``cached_property`` stores it in
+        the instance dict, outside the dataclass fields, so equality and
+        hashing are unaffected.
+        """
+        held = [[] for _ in range(self.n_vertices)]
+        signs = [[] for _ in range(self.n_vertices)]
+        for k, (u, v) in enumerate(self.edges, start=1):
+            held[u - 1].append(k)
+            signs[u - 1].append(1)
+            held[v - 1].append(k)
+            signs[v - 1].append(-1)
+        return tuple((tuple(h), tuple(s)) for h, s in zip(held, signs))
+
     def degree(self, vertex: int) -> int:
-        self._check_vertex(vertex)
-        return sum(1 for u, v in self.edges if vertex in (u, v))
+        return len(self.incident_edges(vertex))
 
     def incident_edges(self, vertex: int) -> tuple[int, ...]:
         """Ascending 1-based indices of the edges touching ``vertex``.
@@ -67,9 +87,13 @@ class Graph:
         These are the message indices held by the server at ``vertex``.
         """
         self._check_vertex(vertex)
-        return tuple(
-            k for k, (u, v) in enumerate(self.edges, start=1) if vertex in (u, v)
-        )
+        return self._incidence[vertex - 1][0]
+
+    def incident_signs(self, vertex: int) -> tuple[int, ...]:
+        """The incidence signs of ``vertex``, aligned with ``incident_edges``:
+        +1 where it is the edge's smaller endpoint, -1 where the larger."""
+        self._check_vertex(vertex)
+        return self._incidence[vertex - 1][1]
 
     def message_holders(self, k: int) -> tuple[int, int]:
         """The two servers storing message ``k``, as ``(smaller, larger)``."""
@@ -87,7 +111,7 @@ class Graph:
 
     def is_regular(self):
         """The common degree if every vertex has the same one, else None."""
-        degrees = {self.degree(v) for v in range(1, self.n_vertices + 1)}
+        degrees = {len(held) for held, _ in self._incidence}
         if len(degrees) == 1:
             return degrees.pop()
         return None

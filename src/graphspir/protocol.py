@@ -98,19 +98,17 @@ def state_from_values(
             field.check(s)
     if pad_length > message_length:
         raise ValueError("pads longer than messages are never consumed")
-    stores = []
-    for server in range(1, graph.n_vertices + 1):
-        held = graph.incident_edges(server)
-        stores.append(
-            ServerStore(
-                server=server,
-                held=held,
-                signs=tuple(graph.edge_sign(server, k) for k in held),
-                messages=tuple(messages[k - 1] for k in held),
-                pads=tuple(pads[k - 1] for k in held),
-            )
+    stores = tuple(
+        ServerStore(
+            server=server,
+            held=held,
+            signs=signs,
+            messages=tuple(messages[k - 1] for k in held),
+            pads=tuple(pads[k - 1] for k in held),
         )
-    return SystemState(graph, field, message_length, pad_length, tuple(stores))
+        for server, (held, signs) in enumerate(graph._incidence, start=1)
+    )
+    return SystemState(graph, field, message_length, pad_length, stores)
 
 
 def init_system(
@@ -138,6 +136,17 @@ def init_system(
     return state_from_values(graph, field, message_length, messages, pads)
 
 
+def _signed_query(held, signs, coeffs_held, target: int, selected: bool, q: int):
+    """Unchecked core of ``server_query``: signs the held coefficients and,
+    at the selected holder, adds 1 at the target's coordinate."""
+    # +1 entries reuse the coefficient objects, which keeps long transcripts small
+    query = [c if sign == 1 else -c % q for sign, c in zip(signs, coeffs_held)]
+    if selected:
+        m = held.index(target)
+        query[m] = (query[m] + 1) % q
+    return tuple(query)
+
+
 def server_query(
     graph: Graph,
     field: PrimeField,
@@ -159,15 +168,12 @@ def server_query(
         raise ValueError(
             f"server {server} holds {len(held)} messages, got {len(coeffs_held)} coefficients"
         )
-    query = []
-    for c, k in zip(coeffs_held, held):
+    for c in coeffs_held:
         field.check(c)
-        query.append(c if graph.edge_sign(server, k) == 1 else field.neg(c))
     _, larger = graph.message_holders(target)
-    if server == larger:
-        m = held.index(target)
-        query[m] = field.add(query[m], 1)
-    return tuple(query)
+    return _signed_query(
+        held, graph.incident_signs(server), coeffs_held, target, server == larger, field.modulus
+    )
 
 
 def gen_queries(graph: Graph, field: PrimeField, target: int, coeffs) -> tuple:
@@ -177,22 +183,29 @@ def gen_queries(graph: Graph, field: PrimeField, target: int, coeffs) -> tuple:
     message. Each server only ever sees the coefficients of its own held
     messages, signed, plus the selector increment at one holder.
     """
-    graph._check_edge(target)
+    _, larger = graph.message_holders(target)
     coeffs = tuple(coeffs)
     if len(coeffs) != graph.n_edges:
         raise ValueError(f"expected {graph.n_edges} coefficients, got {len(coeffs)}")
     for c in coeffs:
         field.check(c)
     return tuple(
-        server_query(
-            graph,
-            field,
-            target,
-            server,
-            tuple(coeffs[k - 1] for k in graph.incident_edges(server)),
+        _signed_query(
+            held, signs, [coeffs[k - 1] for k in held], target, server == larger, field.modulus
         )
-        for server in range(1, graph.n_vertices + 1)
+        for server, (held, signs) in enumerate(graph._incidence, start=1)
     )
+
+
+def _answer_slot(store: ServerStore, query, q: int, slot: int) -> int:
+    """Unchecked core of ``server_answer_slot``."""
+    total = 0
+    for c, message in zip(query, store.messages):
+        total += c * message[slot]
+    for sign, pad in zip(store.signs, store.pads):
+        if slot < len(pad):
+            total += sign * pad[slot]
+    return total % q
 
 
 def server_answer_slot(store: ServerStore, query, field: PrimeField, slot: int) -> int:
@@ -204,13 +217,9 @@ def server_answer_slot(store: ServerStore, query, field: PrimeField, slot: int) 
         raise ValueError(
             f"server {store.server} holds {len(store.held)} messages, got a length-{len(query)} query"
         )
-    total = 0
-    for coeff, message in zip(query, store.messages):
-        total += field.check(coeff) * message[slot]
-    for sign, pad in zip(store.signs, store.pads):
-        if slot < len(pad):
-            total += sign * pad[slot]
-    return total % field.modulus
+    for c in query:
+        field.check(c)
+    return _answer_slot(store, query, field.modulus, slot)
 
 
 def server_answer(store: ServerStore, query, field: PrimeField) -> tuple[int, ...]:
@@ -259,9 +268,10 @@ def run_round_with_coeffs(state: SystemState, target: int, coeffs_per_slot) -> R
     queries_per_slot = tuple(
         gen_queries(graph, field, target, coeffs) for coeffs in coeffs_per_slot
     )
+    q = field.modulus
     answers = tuple(
         tuple(
-            server_answer_slot(store, queries_per_slot[t][store.server - 1], field, t)
+            _answer_slot(store, queries_per_slot[t][store.server - 1], q, t)
             for t in range(state.message_length)
         )
         for store in state.stores
@@ -271,7 +281,7 @@ def run_round_with_coeffs(state: SystemState, target: int, coeffs_per_slot) -> R
         coefficients=coeffs_per_slot,
         queries=queries_per_slot,
         answers=answers,
-        decoded=decode(field, answers),
+        decoded=tuple(sum(column) % q for column in zip(*answers)),
         downloaded_symbols=graph.n_vertices * state.message_length,
     )
 

@@ -225,3 +225,14 @@ def test_criterion_7_documented_limits_of_the_upper_bounds():
     assert record["capacity"] is None
     assert "lower bound" in record["capacity_note"]
     _report(7, "upper bounds documented as constants, not computations", started, 5.0)
+
+
+def test_criterion_8_round_cost_is_linear_in_the_graph():
+    # quadratic per-server edge scans made this round take about 80 s
+    started = time.perf_counter()
+    graph = cycle_graph(10_000)
+    state = init_system(graph, PrimeField(2**31 - 1), 8, random.Random(8))
+    transcript = run_round(state, 4_321, random.Random(9))
+    assert transcript.decoded == state.message(4_321)
+    assert transcript.downloaded_symbols == 10_000 * 8
+    _report(8, "one cycle-10000 round with 8-symbol messages", started, 10.0)

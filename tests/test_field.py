@@ -1,6 +1,7 @@
 """Exact prime-field arithmetic: axioms, guards, sampling, enumeration."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -96,6 +97,38 @@ class TestConstructionGuards:
 
     def test_str(self):
         assert str(PrimeField(5)) == "F5"
+
+
+def _accepts(q: int) -> bool:
+    try:
+        PrimeField(q)
+    except ValueError:
+        return False
+    return True
+
+
+class TestPrimality:
+    """Miller-Rabin with fixed bases, checked against trial division."""
+
+    @pytest.mark.parametrize("q", [561, 41041])
+    def test_carmichael_numbers_rejected(self, q):
+        assert not _accepts(q)
+
+    def test_strong_pseudoprime_to_small_bases_rejected(self):
+        # a strong pseudoprime to bases 2, 3, 5 and 7
+        assert not _accepts(3215031751)
+
+    def test_mersenne_61_accepted(self):
+        assert PrimeField(2**61 - 1).modulus == 2**61 - 1
+
+    def test_composite_above_the_exact_bound_rejected(self):
+        # no factor among the Miller-Rabin bases, so trial division decides
+        assert not _accepts(43 * 47**15)
+
+    def test_agrees_with_trial_division_below_1e5(self):
+        for q in range(10**5):
+            by_division = q >= 2 and all(q % f for f in range(2, math.isqrt(q) + 1))
+            assert _accepts(q) == by_division, q
 
 
 class TestSampling:

@@ -1,5 +1,7 @@
 """Graph model: construction guards, incidence matrices, families, edge lists."""
 
+import random
+
 import pytest
 
 from graphspir import (
@@ -56,6 +58,12 @@ class TestBuildGraph:
             build_graph(3, [(1, 2), (2, 4)])
         with pytest.raises(ValueError):
             build_graph(3, [(0, 1), (1, 2)])
+
+    def test_non_int_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="non-integer"):
+            build_graph(3, [(1.0, 2), (2, 3)])
+        with pytest.raises(ValueError, match="non-integer"):
+            build_graph(3, [(True, 2), (2, 3)])
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
@@ -188,6 +196,44 @@ class TestVertexEdgeQueries:
             d = graph.is_regular()
             assert d is not None
             assert graph.n_vertices * d == 2 * graph.n_edges
+
+
+def _shuffled(graph, seed):
+    edges = list(graph.edges)
+    random.Random(seed).shuffle(edges)
+    return build_graph(graph.n_vertices, [(v, u) for u, v in edges])
+
+
+INDEXED_GRAPHS = {
+    **{family: from_family(family, 6, 3 if family == "regular" else None) for family in FAMILIES},
+    "paw": paw_graph(),
+    **{f"complete6-shuffled-{seed}": _shuffled(complete_graph(6), seed) for seed in range(3)},
+    **{f"regular8-shuffled-{seed}": _shuffled(regular_graph(8, 3), seed) for seed in range(3)},
+}
+
+
+class TestIncidenceIndex:
+    """The per-vertex index agrees with a scan of the signed incidence."""
+
+    @pytest.mark.parametrize("graph", INDEXED_GRAPHS.values(), ids=INDEXED_GRAPHS.keys())
+    def test_matches_signed_incidence_scan(self, graph):
+        for vertex, row in enumerate(signed_incidence(graph), start=1):
+            held = tuple(k for k, entry in enumerate(row, start=1) if entry)
+            assert graph.incident_edges(vertex) == held
+            assert graph.incident_signs(vertex) == tuple(row[k - 1] for k in held)
+            assert graph.degree(vertex) == len(held)
+            assert all(graph.edge_sign(vertex, k) == row[k - 1] for k in held)
+
+    def test_incident_signs_out_of_range(self):
+        with pytest.raises(ValueError):
+            path_graph(3).incident_signs(4)
+
+    def test_equality_and_hash_ignore_the_index(self):
+        indexed, fresh = cycle_graph(5), cycle_graph(5)
+        indexed.incident_edges(1)
+        assert indexed == fresh
+        assert hash(indexed) == hash(fresh)
+        assert {indexed: "x"}[fresh] == "x"
 
 
 class TestGenerators:
