@@ -25,6 +25,7 @@ beyond a configurable outcome count rather than silently auditing a subset.
 
 import itertools
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .protocol import (
     ServerStore,
     SystemState,
     _answer_slot,
+    _round_answers,
     gen_queries,
     run_round_with_coeffs,
     server_query,
@@ -255,7 +257,7 @@ class CheckResult:
 def _resolve_targets(graph: Graph, targets) -> list[int]:
     if targets is None:
         return list(range(1, graph.n_edges + 1))
-    targets = [int(t) for t in targets]
+    targets = list(targets)
     for t in targets:
         graph._check_edge(t)
     return targets
@@ -521,48 +523,166 @@ def check_database_privacy(
     be handed out of band: all answers, all queries, the mask coefficients,
     every pad except the probed subset's own, and every message except the
     target and the subset. The verdict is the cross-multiplication test on
-    the full enumeration; a failure comes with the violating cell.
+    the full enumeration of ``iter_transcript_outcomes``; a failure comes
+    with the violating cell.
+
+    The enumeration is tabulated, not materialized. Each outcome is stored
+    as one int, the id of its ``(answers, coefficient index)`` view; its
+    messages and pads follow from its position in the
+    ``(messages, pads, coefficients)`` product. Queries are left out of the
+    key: for a fixed target they are a function of the mask coefficients
+    (``gen_queries``), so two outcomes agree on the full key exactly when
+    they agree without the queries, and the partition into cells, hence
+    every count, is unchanged. Each subset then counts int-coded
+    ``(left, right)`` cells. Only a failing subset decodes its cells back to
+    tuple keys, queries included, for ``independence_witness``.
     """
     if pad_length is None:
         pad_length = message_length
     _ensure_budget(graph, field, message_length, pad_length, budget)
+    targets = _resolve_targets(graph, targets)
     k = graph.n_edges
     results = []
-    for target in _resolve_targets(graph, targets):
-        realizations = list(
-            iter_transcript_outcomes(graph, field, message_length, target, pad_length)
-        )
+    for target in targets:
+        table = _ViewTable(graph, field, message_length, pad_length, target)
         others = [e for e in range(1, k + 1) if e != target]
         for size in range(1, len(others) + 1):
             for subset in itertools.combinations(others, size):
-                chosen = set(subset)
-                pairs = Counter()
-                for messages, pads, coeffs, queries, answers in realizations:
-                    left = tuple(messages[e - 1] for e in subset)
-                    right = (
-                        answers,
-                        queries,
-                        tuple(pads[e - 1] for e in range(1, k + 1) if e not in chosen),
-                        tuple(
-                            messages[e - 1]
-                            for e in range(1, k + 1)
-                            if e not in chosen and e != target
-                        ),
-                        coeffs,
-                    )
-                    pairs[(left, right)] += 1
-                dist = ExactDistribution(dict(pairs), len(realizations))
-                witness = independence_witness(dist)
+                witness = table.witness(subset)
                 results.append(
                     CheckResult(
                         check="database-privacy",
                         instance={"target": target, "subset": list(subset)},
                         passed=witness is None,
-                        enumerated=len(realizations),
+                        enumerated=table.total,
                         witness=witness.to_dict() if witness else None,
                     )
                 )
     return results
+
+
+class _ViewTable:
+    """One target's outcomes, one int each: the id of its view.
+
+    Outcomes come in the order of ``iter_transcript_outcomes``: messages
+    outermost, then pads, then coefficients. Message and pad vectors are
+    numbered in ``field.iter_vectors`` order, so the messages of the
+    ``i``-th block of coefficient outcomes are the vectors numbered by
+    ``message_rows[i // len(pad_rows)]``, and its pads those numbered by
+    ``pad_rows[i % len(pad_rows)]``.
+    """
+
+    def __init__(self, graph, field, message_length, pad_length, target):
+        k = graph.n_edges
+        self.edges = range(1, k + 1)
+        self.target = target
+        self.coeff_space = list(itertools.product(field.iter_vectors(k), repeat=message_length))
+        self.queries = [
+            tuple(gen_queries(graph, field, target, c) for c in coeffs)
+            for coeffs in self.coeff_space
+        ]
+        self.message_vectors = list(field.iter_vectors(message_length))
+        self.pad_vectors = list(field.iter_vectors(pad_length))
+        views = {}
+        self.view_ids = array("L")
+        for messages in itertools.product(self.message_vectors, repeat=k):
+            for pads in itertools.product(self.pad_vectors, repeat=k):
+                state = state_from_values(graph, field, message_length, messages, pads)
+                for ci, slot_queries in enumerate(self.queries):
+                    view = (_round_answers(state, slot_queries), ci)
+                    self.view_ids.append(views.setdefault(view, len(views)))
+        self.views = list(views)
+        self.message_rows = list(itertools.product(range(len(self.message_vectors)), repeat=k))
+        self.pad_rows = list(itertools.product(range(len(self.pad_vectors)), repeat=k))
+        self.total = len(self.view_ids)
+
+    def witness(self, subset):
+        """``independence_witness`` of the subset's pair table, or None.
+
+        Cells are grouped by their left side, the subset's messages coded as
+        one int. The right side is one int whose mixed-radix digits are,
+        most significant first: the messages outside the subset and the
+        target, the pads outside the subset, and the view id.
+        """
+        rest = [e for e in self.edges if e not in subset and e != self.target]
+        pad_rest = [e for e in self.edges if e not in subset]
+        n_msg, n_pad, n_views = len(self.message_vectors), len(self.pad_vectors), len(self.views)
+        rest_scale = n_pad ** len(pad_rest) * n_views
+        pad_codes = [_radix_code(row, pad_rest, n_pad) * n_views for row in self.pad_rows]
+        n_coeffs = len(self.coeff_space)
+        rows, right_counts = {}, Counter()
+        pos = 0
+        for row in self.message_rows:
+            cells = rows.setdefault(_radix_code(row, subset, n_msg), Counter())
+            rest_code = _radix_code(row, rest, n_msg) * rest_scale
+            for pad_code in pad_codes:
+                right = rest_code + pad_code
+                block = self.view_ids[pos : pos + n_coeffs]
+                pos += n_coeffs
+                cells.update(map(right.__add__, block))
+                right_counts.update(map(right.__add__, block))
+        if _is_product(rows, right_counts, self.total):
+            return None
+        left_radices = [n_msg] * len(subset)
+        right_radices = [n_msg] * len(rest) + [n_pad] * len(pad_rest) + [n_views]
+        pairs = {}
+        for left_code, cells in rows.items():
+            left = tuple(self.message_vectors[d] for d in _radix_digits(left_code, left_radices))
+            for right_code, count in cells.items():
+                *digits, view_id = _radix_digits(right_code, right_radices)
+                answers, ci = self.views[view_id]
+                right = (
+                    answers,
+                    self.queries[ci],
+                    tuple(self.pad_vectors[d] for d in digits[len(rest) :]),
+                    tuple(self.message_vectors[d] for d in digits[: len(rest)]),
+                    self.coeff_space[ci],
+                )
+                pairs[(left, right)] = count
+        witness = independence_witness(ExactDistribution(pairs, self.total))
+        if witness is None:
+            raise AssertionError("the coded table failed the product test but its cells pass")
+        return witness
+
+
+def _radix_code(row, edges, radix) -> int:
+    """The digits ``row[e - 1]`` for ``e`` in ``edges``, as one int."""
+    code = 0
+    for e in edges:
+        code = code * radix + row[e - 1]
+    return code
+
+
+def _radix_digits(code, radices) -> list[int]:
+    """The mixed-radix digits of ``code``, most significant first."""
+    digits = [0] * len(radices)
+    for j in range(len(radices) - 1, -1, -1):
+        code, digits[j] = divmod(code, radices[j])
+    return digits
+
+
+def _is_product(rows, right_counts, total) -> bool:
+    """The cross-multiplication test over the full product of the marginal
+    supports, as ``independence_witness`` scans it.
+
+    ``rows`` maps each left value to the counts of its cells by right value;
+    ``right_counts`` is the right marginal. The test passes iff every row
+    holds every right value ``r`` with ``count·total == cl·cr``, that is iff
+    the row equals ``{r: cl·cr / total}``, where ``cl`` is the row's sum. If
+    some ``cl·cr`` is not a multiple of ``total`` no count can satisfy it.
+    Rows with one sum share one expected row, so the scan is one dict
+    comparison per left value.
+    """
+    expected = {}
+    for cells in rows.values():
+        cl = sum(cells.values())
+        if cl not in expected:
+            row = {r: cl * cr for r, cr in right_counts.items()}
+            divisible = all(x % total == 0 for x in row.values())
+            expected[cl] = {r: x // total for r, x in row.items()} if divisible else None
+        if cells != expected[cl]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
+def _is_index(x) -> bool:
+    """Vertex and edge indices are ints; bools are rejected, not read as 0/1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Graph:
     n_vertices: int
@@ -25,7 +30,7 @@ class Graph:
             if len(edge) != 2:
                 raise ValueError(f"edge {edge!r} is not a pair")
             u, v = edge
-            if not all(isinstance(x, int) and not isinstance(x, bool) for x in edge):
+            if not all(_is_index(x) for x in edge):
                 raise ValueError(f"edge {edge!r} has a non-integer endpoint")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge {edge} has an endpoint outside 1..{n}")
@@ -100,15 +105,6 @@ class Graph:
         self._check_edge(k)
         return self.edges[k - 1]
 
-    def edge_sign(self, vertex: int, k: int) -> int:
-        """+1 at the smaller-indexed holder of edge ``k``, -1 at the larger."""
-        u, v = self.message_holders(k)
-        if vertex == u:
-            return 1
-        if vertex == v:
-            return -1
-        raise ValueError(f"vertex {vertex} does not hold message {k}")
-
     def is_regular(self):
         """The common degree if every vertex has the same one, else None."""
         degrees = {len(held) for held, _ in self._incidence}
@@ -117,11 +113,11 @@ class Graph:
         return None
 
     def _check_vertex(self, vertex: int):
-        if not (isinstance(vertex, int) and 1 <= vertex <= self.n_vertices):
+        if not (_is_index(vertex) and 1 <= vertex <= self.n_vertices):
             raise ValueError(f"no vertex {vertex!r} (graph has 1..{self.n_vertices})")
 
     def _check_edge(self, k: int):
-        if not (isinstance(k, int) and 1 <= k <= self.n_edges):
+        if not (_is_index(k) and 1 <= k <= self.n_edges):
             raise ValueError(f"no message {k!r} (graph has 1..{self.n_edges})")
 
 

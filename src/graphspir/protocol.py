@@ -208,6 +208,19 @@ def _answer_slot(store: ServerStore, query, q: int, slot: int) -> int:
     return total % q
 
 
+def _round_answers(state: SystemState, queries_per_slot) -> tuple[tuple[int, ...], ...]:
+    """Every server's answer to per-slot queries, unchecked: one
+    ``message_length``-symbol answer per server."""
+    q = state.field.modulus
+    return tuple(
+        tuple([
+            _answer_slot(store, queries[store.server - 1], q, t)
+            for t, queries in enumerate(queries_per_slot)
+        ])
+        for store in state.stores
+    )
+
+
 def server_answer_slot(store: ServerStore, query, field: PrimeField, slot: int) -> int:
     """One server's answer symbol for one slot: query-message inner product
     plus the signed sum of its pad symbols (slots past the pad length have
@@ -269,13 +282,7 @@ def run_round_with_coeffs(state: SystemState, target: int, coeffs_per_slot) -> R
         gen_queries(graph, field, target, coeffs) for coeffs in coeffs_per_slot
     )
     q = field.modulus
-    answers = tuple(
-        tuple(
-            _answer_slot(store, queries_per_slot[t][store.server - 1], q, t)
-            for t in range(state.message_length)
-        )
-        for store in state.stores
-    )
+    answers = _round_answers(state, queries_per_slot)
     return RoundTranscript(
         target=target,
         coefficients=coeffs_per_slot,

@@ -8,6 +8,8 @@ prove the failure paths produce witnesses instead of silently passing.
 import itertools
 import json
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from formula_oracles import paw_graph
 from graphspir import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    CheckResult,
     ExactDistribution,
     PrimeField,
     check_database_privacy,
@@ -27,14 +30,17 @@ from graphspir import (
     independence_witness,
     init_system,
     is_independent,
+    iter_transcript_outcomes,
     mutual_information_bits,
     mutual_information_terms,
     path_graph,
     randomness_ratio,
     run_audit,
     server_view_table,
+    star_graph,
     state_space_size,
 )
+from graphspir.auditor import _is_product
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -104,6 +110,37 @@ class TestIndependenceVerdicts:
         terms = mutual_information_terms(pairs)
         assert terms == [(Fraction(1, 2), Fraction(2)), (Fraction(1, 2), Fraction(2))]
         assert mutual_information_bits(pairs) == 1.0
+
+    @staticmethod
+    def _coded_is_product(pairs):
+        rows, right_counts = {}, Counter()
+        for (left, right), count in pairs.items():
+            rows.setdefault(left, Counter())[right] += count
+            right_counts[right] += count
+        return _is_product(rows, right_counts, sum(pairs.values()))
+
+    def test_coded_product_test_reads_every_cell(self):
+        # every cell present, yet the counts are correlated
+        assert not self._coded_is_product({(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 2})
+        assert self._coded_is_product({(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 2})
+        # a missing cell fails although every present cell is proportional
+        assert not self._coded_is_product({(0, 0): 1, (0, 1): 1, (1, 1): 1})
+        # cl·cr is not a multiple of the total, so no count can match
+        assert not self._coded_is_product({(0, 0): 1, (1, 1): 1, (1, 0): 1})
+
+    def test_coded_product_test_matches_independence_witness(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            cells = {
+                (rng.randrange(3), rng.randrange(3)): rng.randint(1, 3)
+                for _ in range(rng.randint(1, 9))
+            }
+            if rng.random() < 0.3:  # an exact product table
+                left = {x: rng.randint(1, 3) for x in range(rng.randint(1, 3))}
+                right = {y: rng.randint(1, 3) for y in range(rng.randint(1, 3))}
+                cells = {(x, y): a * b for x, a in left.items() for y, b in right.items()}
+            expected = is_independent(ExactDistribution(cells, sum(cells.values())))
+            assert self._coded_is_product(cells) == expected
 
     def test_witness_to_dict(self):
         witness = independence_witness(
@@ -195,6 +232,16 @@ class TestReliability:
     def test_targets_restriction(self):
         results = check_reliability(cycle_graph(3), F2, 1, targets=[3])
         assert [c.instance["target"] for c in results] == [3]
+
+    @pytest.mark.parametrize("target", [1.7, 1.0, "2", True, None])
+    def test_non_int_target_rejected(self, target):
+        with pytest.raises(ValueError, match="no message"):
+            check_reliability(path_graph(3), F2, 1, targets=[target])
+
+    @pytest.mark.parametrize("server", [True, 2.0, "2"])
+    def test_non_int_drop_server_rejected(self, server):
+        with pytest.raises(ValueError, match="no vertex"):
+            check_reliability(path_graph(3), F2, 1, drop_server=server)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
@@ -312,6 +359,91 @@ class TestDatabasePrivacy:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             check_database_privacy(cycle_graph(3), F5, 2)
+
+    @pytest.mark.parametrize("target", [1.7, 1.0, "2", True, False])
+    def test_non_int_target_rejected(self, target):
+        with pytest.raises(ValueError, match="no message"):
+            check_database_privacy(path_graph(3), F2, 1, targets=[target])
+
+    def test_tabulation_keeps_no_realization_list(self):
+        # the 2^12 outcomes of one target cost ~6 MiB as a list of tuples
+        graph = cycle_graph(4)
+        tracemalloc.start()
+        try:
+            results = check_database_privacy(graph, F2, 1, targets=[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c.passed for c in results)
+        assert peak < 3 * 2**20
+
+
+def _reference_database_privacy(graph, field, message_length, pad_length=None):
+    """The tabulation as first written: every outcome tuple-keyed, one
+    ``independence_witness`` per subset."""
+    if pad_length is None:
+        pad_length = message_length
+    k = graph.n_edges
+    results = []
+    for target in range(1, k + 1):
+        realizations = list(
+            iter_transcript_outcomes(graph, field, message_length, target, pad_length)
+        )
+        others = [e for e in range(1, k + 1) if e != target]
+        for size in range(1, len(others) + 1):
+            for subset in itertools.combinations(others, size):
+                pairs = Counter()
+                for messages, pads, coeffs, queries, answers in realizations:
+                    left = tuple(messages[e - 1] for e in subset)
+                    right = (
+                        answers,
+                        queries,
+                        tuple(pads[e - 1] for e in range(1, k + 1) if e not in subset),
+                        tuple(
+                            messages[e - 1]
+                            for e in range(1, k + 1)
+                            if e not in subset and e != target
+                        ),
+                        coeffs,
+                    )
+                    pairs[(left, right)] += 1
+                witness = independence_witness(
+                    ExactDistribution(dict(pairs), len(realizations))
+                )
+                results.append(
+                    CheckResult(
+                        check="database-privacy",
+                        instance={"target": target, "subset": list(subset)},
+                        passed=witness is None,
+                        enumerated=len(realizations),
+                        witness=witness.to_dict() if witness else None,
+                    )
+                )
+    return results
+
+
+ORACLE_CASES = {
+    "path3": (path_graph(3), F2, 1, None, 0),
+    "cycle3": (cycle_graph(3), F2, 1, None, 0),
+    "star4": (star_graph(4), F2, 1, None, 0),
+    "path3-q3": (path_graph(3), F3, 1, None, 0),
+    "path3-L2": (path_graph(3), F2, 2, None, 0),
+    "path3-no-pads": (path_graph(3), F2, 1, 0, 2),
+    "path3-L2-one-pad": (path_graph(3), F2, 2, 1, 2),
+    "cycle3-q3-no-pads": (cycle_graph(3), F3, 1, 0, 9),
+}
+
+
+class TestDatabasePrivacyOracle:
+    """The tabulation equals the tuple-keyed enumeration, witnesses included."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+    def test_matches_reference(self, case):
+        graph, field, length, pad_length, failing = case
+        expected = _reference_database_privacy(graph, field, length, pad_length)
+        results = check_database_privacy(graph, field, length, pad_length=pad_length)
+        assert results == expected
+        assert sum(not c.passed for c in results) == failing
 
 
 class TestRandomnessRatio:

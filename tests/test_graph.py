@@ -177,14 +177,32 @@ class TestVertexEdgeQueries:
 
     def test_edge_sign(self):
         g = paw_graph()
-        assert g.edge_sign(1, 1) == 1
-        assert g.edge_sign(2, 1) == -1
-        assert g.edge_sign(3, 4) == 1
-        assert g.edge_sign(4, 4) == -1
+        # +1 at an edge's smaller holder, -1 at its larger one
+        assert dict(zip(g.incident_edges(1), g.incident_signs(1)))[1] == 1
+        assert dict(zip(g.incident_edges(2), g.incident_signs(2)))[1] == -1
+        assert dict(zip(g.incident_edges(3), g.incident_signs(3)))[4] == 1
+        assert dict(zip(g.incident_edges(4), g.incident_signs(4)))[4] == -1
 
     def test_edge_sign_non_incident(self):
-        with pytest.raises(ValueError):
-            path_graph(3).edge_sign(1, 2)
+        g = path_graph(3)
+        assert 2 not in g.incident_edges(1)
+        assert len(g.incident_signs(1)) == len(g.incident_edges(1)) == 1
+
+    def test_bool_vertex_and_message_rejected(self):
+        g = path_graph(3)
+        for call in (g.degree, g.incident_edges, g.incident_signs):
+            with pytest.raises(ValueError, match="no vertex True"):
+                call(True)
+        with pytest.raises(ValueError, match="no message True"):
+            g.message_holders(True)
+
+    def test_non_int_vertex_and_message_rejected(self):
+        g = path_graph(3)
+        for bad in (1.0, "1", None):
+            with pytest.raises(ValueError, match="no vertex"):
+                g.incident_edges(bad)
+            with pytest.raises(ValueError, match="no message"):
+                g.message_holders(bad)
 
     def test_is_regular(self):
         assert cycle_graph(3).is_regular() == 2
@@ -222,7 +240,6 @@ class TestIncidenceIndex:
             assert graph.incident_edges(vertex) == held
             assert graph.incident_signs(vertex) == tuple(row[k - 1] for k in held)
             assert graph.degree(vertex) == len(held)
-            assert all(graph.edge_sign(vertex, k) == row[k - 1] for k in held)
 
     def test_incident_signs_out_of_range(self):
         with pytest.raises(ValueError):
