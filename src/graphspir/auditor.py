@@ -33,13 +33,11 @@ from fractions import Fraction
 from .field import PrimeField
 from .graph import Graph
 from .protocol import (
-    ServerStore,
     SystemState,
-    _answer_slot,
     _round_answers,
+    _signed_query,
     gen_queries,
     run_round_with_coeffs,
-    server_query,
     state_from_values,
 )
 
@@ -258,8 +256,14 @@ def _resolve_targets(graph: Graph, targets) -> list[int]:
     if targets is None:
         return list(range(1, graph.n_edges + 1))
     targets = list(targets)
+    if not targets:
+        raise ValueError("targets is empty: no per-target check would run")
+    seen = set()
     for t in targets:
         graph._check_edge(t)
+        if t in seen:
+            raise ValueError(f"target {t!r} is repeated")
+        seen.add(t)
     return targets
 
 
@@ -417,28 +421,110 @@ def server_view_table(
     if pad_length is None:
         pad_length = message_length
     graph._check_edge(target)
-    held = graph.incident_edges(server)
-    delta = len(held)
-    # the raw selector is the query with every mask coefficient zero
-    coeff_space = field.iter_vectors(delta) if mask_queries else [(0,) * delta]
-    query_space = [
-        tuple(server_query(graph, field, target, server, coeffs) for coeffs in slot_coeffs)
-        for slot_coeffs in itertools.product(coeff_space, repeat=message_length)
-    ]
-    signs = graph.incident_signs(server)
-    table = Counter()
-    for queries in query_space:
-        for messages in itertools.product(
-            field.iter_vectors(message_length), repeat=delta
-        ):
-            for pads in itertools.product(field.iter_vectors(pad_length), repeat=delta):
-                store = ServerStore(server, held, signs, messages, pads)
-                answer = tuple(
-                    _answer_slot(store, queries[t], field.modulus, t)
-                    for t in range(message_length)
-                )
-                table[(queries, answer, messages, pads)] += 1
-    return ExactDistribution(dict(table), sum(table.values()))
+    graph._check_vertex(server)
+    views = _ServerViews(graph, field, message_length, pad_length, server, mask_queries)
+    return ExactDistribution(views.decode(views.counts(target)), views.total)
+
+
+def _selector_key(graph: Graph, server: int, target: int):
+    """What a server's query depends on of the target: the position of the
+    selector among its held edges, or None if it is not the target's larger
+    holder (``_signed_query`` reads nothing else of the target)."""
+    _, larger = graph.message_holders(target)
+    return graph.incident_edges(server).index(target) if server == larger else None
+
+
+class _ServerViews:
+    """One server's views of a round, one int each.
+
+    A view ``(queries, answer, messages, pads)`` is coded as the mixed-radix
+    int whose digits are, most significant first: the per-slot query
+    entries (radix ``q``), the answer symbols (radix ``q``), the index of
+    the held messages and the index of the held pads, both in
+    ``itertools.product`` order over ``field.iter_vectors``. Everything but
+    the queries is the same for every target, so it is built once per
+    server: the signed pad sums of every pad vector and, per reduced
+    query-message dot product, the codes of the answer and pad digits.
+    """
+
+    def __init__(self, graph, field, message_length, pad_length, server, mask_queries):
+        self.graph, self.server = graph, server
+        self.held, self.signs = graph._incidence[server - 1]
+        self.q = q = field.modulus
+        self.length = message_length
+        delta = len(self.held)
+        # the raw selector is the query with every mask coefficient zero
+        self.coeff_space = list(field.iter_vectors(delta)) if mask_queries else [(0,) * delta]
+        self.message_space = list(
+            itertools.product(field.iter_vectors(message_length), repeat=delta)
+        )
+        self.pad_space = list(itertools.product(field.iter_vectors(pad_length), repeat=delta))
+        n_msg, n_pad = len(self.message_space), len(self.pad_space)
+        pad_sums = [
+            tuple(sum(s * p[t] for s, p in zip(self.signs, pads)) for t in range(pad_length))
+            + (0,) * (message_length - pad_length)
+            for pads in self.pad_space
+        ]
+        # per dot-product vector: answer and pad digits of every pad index
+        self.tails = {
+            dot: [
+                _digits_code([(d + s) % q for d, s in zip(dot, sums)], q) * n_msg * n_pad + j
+                for j, sums in enumerate(pad_sums)
+            ]
+            for dot in itertools.product(range(q), repeat=message_length)
+        }
+        self.answer_scale = q**message_length * n_msg * n_pad
+        self.total = len(self.coeff_space) ** message_length * n_msg * n_pad
+
+    def counts(self, target) -> Counter:
+        """Count the coded views of a round retrieving ``target``."""
+        q, n_pad = self.q, len(self.pad_space)
+        selected = self.server == self.graph.message_holders(target)[1]
+        slot_queries = [
+            _signed_query(self.held, self.signs, c, target, selected, q) for c in self.coeff_space
+        ]
+        query_codes = [_digits_code(query, q) for query in slot_queries]
+        # per slot, per query: its dot product with every held-message index
+        dots = [
+            [
+                [sum(y * m[t] for y, m in zip(query, messages)) % q
+                 for messages in self.message_space]
+                for query in slot_queries
+            ]
+            for t in range(self.length)
+        ]
+        counts = Counter()
+        for picks in itertools.product(range(len(slot_queries)), repeat=self.length):
+            query_code = _digits_code([query_codes[p] for p in picks], q ** len(self.held))
+            base = query_code * self.answer_scale
+            slot_dots = zip(*(dots[t][p] for t, p in enumerate(picks)))
+            for mi, dot in enumerate(slot_dots):
+                counts.update(map((base + mi * n_pad).__add__, self.tails[dot]))
+        return counts
+
+    def witness(self, reference, target):
+        """``_table_difference_witness`` of the reference counts and the
+        counts of ``target``, or None if they are equal."""
+        counts = self.counts(target)
+        if counts == reference:
+            return None
+        return _table_difference_witness(self.decode(reference), self.decode(counts))
+
+    def decode(self, counts) -> dict:
+        """The same counts keyed by the view tuples they code."""
+        n_msg, n_pad = len(self.message_space), len(self.pad_space)
+        delta, length = len(self.held), self.length
+        views = {}
+        for code, count in counts.items():
+            code, pj = divmod(code, n_pad)
+            code, mi = divmod(code, n_msg)
+            digits = _radix_digits(code, [self.q] * (length * delta + length))
+            queries = tuple(
+                tuple(digits[t * delta : (t + 1) * delta]) for t in range(length)
+            )
+            answer = tuple(digits[length * delta :])
+            views[(queries, answer, self.message_space[mi], self.pad_space[pj])] = count
+        return views
 
 
 def check_user_privacy(
@@ -456,6 +542,11 @@ def check_user_privacy(
     count-table equality against the target-1 table; equality is
     transitive, so every pair of targets is covered.
 
+    A server's view depends on the target only through ``_selector_key``,
+    so one coded table is built per distinct key (at most ``1 + degree``
+    per server) and shared by the targets with that key. Only an unequal
+    pair decodes its tables to view tuples for the witness.
+
     ``mask_queries=False`` is a negative control that sends the raw selector
     (no mask coefficients); the check must then fail at the selector-holding
     servers.
@@ -465,31 +556,25 @@ def check_user_privacy(
     _ensure_budget(graph, field, message_length, pad_length, budget)
     results = []
     for server in range(1, graph.n_vertices + 1):
-        tables = {
-            target: server_view_table(
-                graph,
-                field,
-                message_length,
-                target,
-                server,
-                pad_length=pad_length,
-                mask_queries=mask_queries,
-            )
-            for target in range(1, graph.n_edges + 1)
+        views = _ServerViews(graph, field, message_length, pad_length, server, mask_queries)
+        keys = {t: _selector_key(graph, server, t) for t in range(1, graph.n_edges + 1)}
+        first = {}
+        for target, key in keys.items():
+            first.setdefault(key, target)
+        reference = views.counts(1)
+        witnesses = {
+            key: None if target == 1 else views.witness(reference, target)
+            for key, target in first.items()
         }
         for target in range(2, graph.n_edges + 1):
-            witness = None
-            if tables[target] != tables[1]:
-                witness = _table_difference_witness(
-                    tables[1].counts, tables[target].counts
-                )
+            witness = witnesses[keys[target]]
             results.append(
                 CheckResult(
                     check="user-privacy",
                     instance={"server": server, "target": target, "reference": 1},
                     passed=witness is None,
-                    enumerated=tables[target].total,
-                    witness=witness,
+                    enumerated=views.total,
+                    witness=dict(witness) if witness else None,
                 )
             )
     return results
@@ -647,9 +732,14 @@ class _ViewTable:
 
 def _radix_code(row, edges, radix) -> int:
     """The digits ``row[e - 1]`` for ``e`` in ``edges``, as one int."""
+    return _digits_code([row[e - 1] for e in edges], radix)
+
+
+def _digits_code(digits, radix) -> int:
+    """The digits, most significant first, as one int."""
     code = 0
-    for e in edges:
-        code = code * radix + row[e - 1]
+    for d in digits:
+        code = code * radix + d
     return code
 
 

@@ -40,7 +40,13 @@ from graphspir import (
     star_graph,
     state_space_size,
 )
-from graphspir.auditor import _is_product
+from graphspir.auditor import (
+    _is_product,
+    _selector_key,
+    _ServerViews,
+    _table_difference_witness,
+)
+from graphspir.protocol import ServerStore, _answer_slot, server_query
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -238,6 +244,14 @@ class TestReliability:
         with pytest.raises(ValueError, match="no message"):
             check_reliability(path_graph(3), F2, 1, targets=[target])
 
+    def test_empty_targets_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            check_reliability(path_graph(3), F2, 1, targets=[])
+
+    def test_repeated_target_rejected(self):
+        with pytest.raises(ValueError, match="target 2 is repeated"):
+            check_reliability(path_graph(3), F2, 1, targets=[2, 2])
+
     @pytest.mark.parametrize("server", [True, 2.0, "2"])
     def test_non_int_drop_server_rejected(self, server):
         with pytest.raises(ValueError, match="no vertex"):
@@ -279,6 +293,18 @@ class TestUserPrivacy:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             check_user_privacy(complete_graph(4), F3, 1)
+
+    def test_tabulation_memory_bound(self):
+        # the center holds three selector positions: ~13 MiB as tuple-keyed
+        # tables, ~2.4 MiB coded with at most two tables alive at once
+        tracemalloc.start()
+        try:
+            results = check_user_privacy(star_graph(4), F3, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c.passed for c in results)
+        assert peak < 3 * 2**20
 
 
 class TestServerViewTable:
@@ -365,6 +391,14 @@ class TestDatabasePrivacy:
         with pytest.raises(ValueError, match="no message"):
             check_database_privacy(path_graph(3), F2, 1, targets=[target])
 
+    def test_empty_targets_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            check_database_privacy(path_graph(3), F2, 1, targets=[])
+
+    def test_repeated_target_rejected(self):
+        with pytest.raises(ValueError, match="target 1 is repeated"):
+            check_database_privacy(path_graph(3), F2, 1, targets=[1, 2, 1])
+
     def test_tabulation_keeps_no_realization_list(self):
         # the 2^12 outcomes of one target cost ~6 MiB as a list of tuples
         graph = cycle_graph(4)
@@ -446,6 +480,143 @@ class TestDatabasePrivacyOracle:
         assert sum(not c.passed for c in results) == failing
 
 
+def _reference_server_view_table(
+    graph, field, message_length, target, server, pad_length=None, mask_queries=True
+):
+    """The view table as first written: one ``ServerStore`` and one tuple
+    key per outcome."""
+    if pad_length is None:
+        pad_length = message_length
+    held = graph.incident_edges(server)
+    delta = len(held)
+    coeff_space = field.iter_vectors(delta) if mask_queries else [(0,) * delta]
+    query_space = [
+        tuple(server_query(graph, field, target, server, coeffs) for coeffs in slot_coeffs)
+        for slot_coeffs in itertools.product(coeff_space, repeat=message_length)
+    ]
+    signs = graph.incident_signs(server)
+    table = Counter()
+    for queries in query_space:
+        for messages in itertools.product(field.iter_vectors(message_length), repeat=delta):
+            for pads in itertools.product(field.iter_vectors(pad_length), repeat=delta):
+                store = ServerStore(server, held, signs, messages, pads)
+                answer = tuple(
+                    _answer_slot(store, queries[t], field.modulus, t)
+                    for t in range(message_length)
+                )
+                table[(queries, answer, messages, pads)] += 1
+    return ExactDistribution(dict(table), sum(table.values()))
+
+
+def _reference_user_privacy(graph, field, message_length, pad_length=None, mask_queries=True):
+    """Every target's reference table, compared against target 1's."""
+    results = []
+    for server in range(1, graph.n_vertices + 1):
+        tables = {
+            target: _reference_server_view_table(
+                graph, field, message_length, target, server, pad_length, mask_queries
+            )
+            for target in range(1, graph.n_edges + 1)
+        }
+        for target in range(2, graph.n_edges + 1):
+            witness = None
+            if tables[target] != tables[1]:
+                witness = _table_difference_witness(tables[1].counts, tables[target].counts)
+            results.append(
+                CheckResult(
+                    check="user-privacy",
+                    instance={"server": server, "target": target, "reference": 1},
+                    passed=witness is None,
+                    enumerated=tables[target].total,
+                    witness=witness,
+                )
+            )
+    return results
+
+
+USER_ORACLE_CASES = {
+    "path3": (path_graph(3), F2, 1, None, True, 0),
+    "cycle3": (cycle_graph(3), F2, 1, None, True, 0),
+    "star4": (star_graph(4), F2, 1, None, True, 0),
+    "path3-q3": (path_graph(3), F3, 1, None, True, 0),
+    "path3-L2": (path_graph(3), F2, 2, None, True, 0),
+    "path3-L2-one-pad": (path_graph(3), F2, 2, 1, True, 0),
+    "path3-unmasked": (path_graph(3), F2, 1, None, False, 2),
+    "cycle3-q3-unmasked": (cycle_graph(3), F3, 1, None, False, 4),
+}
+
+
+class TestUserPrivacyOracle:
+    """The coded tables equal the tuple-keyed enumeration, witnesses included."""
+
+    @pytest.mark.parametrize(
+        "case", USER_ORACLE_CASES.values(), ids=USER_ORACLE_CASES.keys()
+    )
+    def test_matches_reference(self, case):
+        graph, field, length, pad_length, mask, failing = case
+        expected = _reference_user_privacy(graph, field, length, pad_length, mask)
+        results = check_user_privacy(
+            graph, field, length, pad_length=pad_length, mask_queries=mask
+        )
+        assert results == expected
+        assert sum(not c.passed for c in results) == failing
+
+    @pytest.mark.parametrize(
+        "case", USER_ORACLE_CASES.values(), ids=USER_ORACLE_CASES.keys()
+    )
+    def test_view_tables_match_reference(self, case):
+        graph, field, length, pad_length, mask, _ = case
+        for server in range(1, graph.n_vertices + 1):
+            for target in range(1, graph.n_edges + 1):
+                table = server_view_table(
+                    graph, field, length, target, server,
+                    pad_length=pad_length, mask_queries=mask,
+                )
+                assert table == _reference_server_view_table(
+                    graph, field, length, target, server, pad_length, mask
+                )
+
+
+class TestSelectorKey:
+    """A server's table depends on the target only through ``_selector_key``."""
+
+    @staticmethod
+    def _targets_by_key(graph, server):
+        groups = {}
+        for target in range(1, graph.n_edges + 1):
+            groups.setdefault(_selector_key(graph, server, target), []).append(target)
+        return groups
+
+    @pytest.mark.parametrize("mask", [True, False])
+    def test_shared_table_equals_fresh_tables(self, mask):
+        graph = paw_graph()
+        for server in range(1, graph.n_vertices + 1):
+            views = _ServerViews(graph, F2, 1, 1, server, mask)
+            for key, targets in self._targets_by_key(graph, server).items():
+                shared = views.decode(views.counts(targets[0]))
+                for target in targets:
+                    fresh = _reference_server_view_table(graph, F2, 1, target, server, 1, mask)
+                    assert shared == fresh.counts
+
+    def test_paw_keys(self):
+        # server 3 holds edges 2, 3, 4 and is the larger holder of 2 and 3
+        graph = paw_graph()
+        assert self._targets_by_key(graph, 3) == {None: [1, 4], 0: [2], 1: [3]}
+
+    def test_selector_position_is_part_of_the_key(self):
+        # unmasked, the tables of distinct held positions differ, so a key
+        # that only said "selected or not" would share a wrong table
+        graph = paw_graph()
+        for server in range(1, graph.n_vertices + 1):
+            groups = self._targets_by_key(graph, server)
+            tables = [
+                server_view_table(graph, F2, 1, targets[0], server, mask_queries=False)
+                for targets in groups.values()
+            ]
+            assert all(a != b for a, b in itertools.combinations(tables, 2))
+        assert len(self._targets_by_key(graph, 3)) == 3
+
+
 class TestRandomnessRatio:
     def test_full_pads(self):
         state = init_system(path_graph(3), F3, 1, random.Random(0))
@@ -499,6 +670,11 @@ class TestRunAudit:
         assert [c.instance["target"] for c in rel] == [2]
         assert {c.instance["target"] for c in dbp} == {2}
         assert len(usr) == 6  # always every pair of targets
+
+    def test_empty_targets_rejected(self):
+        # an empty list would run no per-target check and report all_passed
+        with pytest.raises(ValueError, match="empty"):
+            run_audit(path_graph(3), F2, 1, targets=[])
 
     def test_budget_guard_sizes(self):
         with pytest.raises(BudgetExceededError) as info:
