@@ -25,16 +25,16 @@ beyond a configurable outcome count rather than silently auditing a subset.
 
 import itertools
 import math
+import operator
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import PrimeField
-from .graph import Graph
+from .graph import Graph, _is_index
 from .protocol import (
     SystemState,
-    _round_answers,
     _signed_query,
     gen_queries,
     run_round_with_coeffs,
@@ -217,8 +217,7 @@ def enumerate_transcripts(
     Messages, pads and mask coefficients are uniform and independent, so
     every realization has the same probability and appears with count 1.
     """
-    if pad_length is None:
-        pad_length = message_length
+    pad_length = _resolve_pad_length(message_length, pad_length)
     _ensure_budget(graph, field, message_length, pad_length, budget)
     counts = {
         outcome: 1
@@ -250,6 +249,21 @@ class CheckResult:
             "enumerated": self.enumerated,
             "witness": self.witness,
         }
+
+
+def _resolve_pad_length(message_length, pad_length) -> int:
+    """The pad length, ``message_length`` by default, once both lengths are
+    known to be ints (not bools) with ``1 <= message_length`` and
+    ``0 <= pad_length <= message_length``."""
+    if not (_is_index(message_length) and message_length >= 1):
+        raise ValueError(f"message_length must be an int >= 1, got {message_length!r}")
+    if pad_length is None:
+        return message_length
+    if not (_is_index(pad_length) and 0 <= pad_length <= message_length):
+        raise ValueError(
+            f"pad_length must be an int in 0..{message_length}, got {pad_length!r}"
+        )
+    return pad_length
 
 
 def _resolve_targets(graph: Graph, targets) -> list[int]:
@@ -285,11 +299,20 @@ def check_reliability(
     decode error exists in the joint space exactly when one exists in a slot
     space. Each distinct slot space is enumerated in full.
 
+    The decoded symbol is linear: a message part fixed by the coefficients
+    and messages, plus the pads' weighted sum ``r`` mod q. So the pad
+    vectors are grouped by ``r`` once per slot variant, keeping the first
+    vector of each residue in enumeration order, and a ``(coefficients,
+    messages)`` pair fails exactly when some residue differs from the one
+    that decodes correctly. Each pair still counts all its pad vectors in
+    ``enumerated``, and the witness is still the first failing outcome:
+    within a pair, the first failing pad vector is the first of the first
+    failing residue.
+
     ``drop_server`` excludes one server's answer from decoding; it exists as
     a negative control and makes the check fail with a witness.
     """
-    if pad_length is None:
-        pad_length = message_length
+    pad_length = _resolve_pad_length(message_length, pad_length)
     _ensure_budget(graph, field, message_length, pad_length, budget)
     if drop_server is not None:
         graph._check_vertex(drop_server)
@@ -312,20 +335,26 @@ def check_reliability(
         enumerated = 0
         for padded in slot_variants:
             pad_space = list(field.iter_vectors(k)) if padded else [None]
-            pad_totals = [
-                (pads, sum(w * p for w, p in zip(pad_weights, pads)) % q if pads else 0)
-                for pads in pad_space
-            ]
+            # the pads enter only through their weighted sum: each residue,
+            # with the first pad vector that reaches it
+            residues = {}
+            for pads in pad_space:
+                residue = sum(w * p for w, p in zip(pad_weights, pads)) % q if pads else 0
+                residues.setdefault(residue, pads)
             for coeffs in field.iter_vectors(k):
                 queries = gen_queries(graph, field, target, coeffs)
                 weights = _edge_totals(graph, kept, lambda n: queries[n - 1])
                 for messages in field.iter_vectors(k):
-                    dot_sum = sum(w * m for w, m in zip(weights, messages))
-                    expected = messages[target - 1]
-                    for pads, pad_total in pad_totals:
-                        enumerated += 1
-                        if (dot_sum + pad_total) % q != expected:
-                            failure = failure or (coeffs, messages, pads, padded)
+                    enumerated += len(pad_space)
+                    if failure:
+                        continue
+                    # the pads that decode correctly are those of residue ``need``
+                    dot_sum = sum(map(operator.mul, weights, messages))
+                    need = (messages[target - 1] - dot_sum) % q
+                    for residue, pads in residues.items():
+                        if residue != need:
+                            failure = (coeffs, messages, pads, padded)
+                            break
             if failure:
                 break
         witness = None
@@ -418,8 +447,7 @@ def server_view_table(
     ``mask_queries=False`` sends the raw selector with no mask coefficients
     — a sabotaged scheme used as a negative control.
     """
-    if pad_length is None:
-        pad_length = message_length
+    pad_length = _resolve_pad_length(message_length, pad_length)
     graph._check_edge(target)
     graph._check_vertex(server)
     views = _ServerViews(graph, field, message_length, pad_length, server, mask_queries)
@@ -551,8 +579,7 @@ def check_user_privacy(
     (no mask coefficients); the check must then fail at the selector-holding
     servers.
     """
-    if pad_length is None:
-        pad_length = message_length
+    pad_length = _resolve_pad_length(message_length, pad_length)
     _ensure_budget(graph, field, message_length, pad_length, budget)
     results = []
     for server in range(1, graph.n_vertices + 1):
@@ -618,12 +645,12 @@ def check_database_privacy(
     key: for a fixed target they are a function of the mask coefficients
     (``gen_queries``), so two outcomes agree on the full key exactly when
     they agree without the queries, and the partition into cells, hence
-    every count, is unchanged. Each subset then counts int-coded
-    ``(left, right)`` cells. Only a failing subset decodes its cells back to
+    every count, is unchanged. Each subset then lists the int-coded right
+    values of each left value and passes iff these rows are equal
+    (``_equal_rows``). Only a failing subset decodes its cells back to
     tuple keys, queries included, for ``independence_witness``.
     """
-    if pad_length is None:
-        pad_length = message_length
+    pad_length = _resolve_pad_length(message_length, pad_length)
     _ensure_budget(graph, field, message_length, pad_length, budget)
     targets = _resolve_targets(graph, targets)
     k = graph.n_edges
@@ -655,10 +682,21 @@ class _ViewTable:
     ``i``-th block of coefficient outcomes are the vectors numbered by
     ``message_rows[i // len(pad_rows)]``, and its pads those numbered by
     ``pad_rows[i % len(pad_rows)]``.
+
+    Every answer symbol is a message part, the query's dot product with the
+    held messages, plus a pad part, the signed sum of the held pads. Each
+    part is computed once, the message part per ``(messages, coefficient
+    index)`` and the pad part per pad vector, reduced mod q and coded with
+    one digit per ``(server, slot)``, most significant first. The digits
+    are in radix ``2q - 1``, where two reduced parts add without carry, so
+    one int addition gives the raw code of an outcome's answers. ``ids``
+    maps a raw code (times the number of coefficient vectors, plus the
+    coefficient index) to its view id; only a code not seen before is
+    reduced mod q per digit to look its view up.
     """
 
     def __init__(self, graph, field, message_length, pad_length, target):
-        k = graph.n_edges
+        k, q = graph.n_edges, field.modulus
         self.edges = range(1, k + 1)
         self.target = target
         self.coeff_space = list(itertools.product(field.iter_vectors(k), repeat=message_length))
@@ -668,52 +706,100 @@ class _ViewTable:
         ]
         self.message_vectors = list(field.iter_vectors(message_length))
         self.pad_vectors = list(field.iter_vectors(pad_length))
+        n_coeffs = len(self.coeff_space)
+        digits = [
+            (n, held, signs, t)
+            for n, (held, signs) in enumerate(graph._incidence)
+            for t in range(message_length)
+        ]
+        radices = [2 * q - 1] * len(digits)
+        scales = [radices[0] ** j for j in range(len(digits) - 1, -1, -1)]
+        pad_codes = [
+            sum(
+                scale * (sum(s * pads[e - 1][t] for s, e in zip(signs, held)) % q)
+                for scale, (_, held, signs, t) in zip(scales, digits)
+                if t < pad_length
+            ) * n_coeffs
+            for pads in itertools.product(self.pad_vectors, repeat=k)
+        ]
         views = {}
+
+        def view_id(raw):
+            code, ci = divmod(raw, n_coeffs)
+            symbols = [d % q for d in _radix_digits(code, radices)]
+            answers = tuple(
+                tuple(symbols[j : j + message_length])
+                for j in range(0, len(symbols), message_length)
+            )
+            return views.setdefault((answers, ci), len(views))
+
+        ids = _Memo(view_id)
         self.view_ids = array("L")
         for messages in itertools.product(self.message_vectors, repeat=k):
-            for pads in itertools.product(self.pad_vectors, repeat=k):
-                state = state_from_values(graph, field, message_length, messages, pads)
-                for ci, slot_queries in enumerate(self.queries):
-                    view = (_round_answers(state, slot_queries), ci)
-                    self.view_ids.append(views.setdefault(view, len(views)))
+            message_codes = [
+                sum(
+                    scale * (sum(y * messages[e - 1][t] for y, e in zip(queries[t][n], held)) % q)
+                    for scale, (n, held, _, t) in zip(scales, digits)
+                ) * n_coeffs + ci
+                for ci, queries in enumerate(self.queries)
+            ]
+            for pad_code in pad_codes:
+                raw_codes = map(pad_code.__add__, message_codes)
+                self.view_ids.extend(map(ids.__getitem__, raw_codes))
         self.views = list(views)
         self.message_rows = list(itertools.product(range(len(self.message_vectors)), repeat=k))
         self.pad_rows = list(itertools.product(range(len(self.pad_vectors)), repeat=k))
         self.total = len(self.view_ids)
 
-    def witness(self, subset):
-        """``independence_witness`` of the subset's pair table, or None.
-
-        Cells are grouped by their left side, the subset's messages coded as
-        one int. The right side is one int whose mixed-radix digits are,
-        most significant first: the messages outside the subset and the
-        target, the pads outside the subset, and the view id.
-        """
+    def _outside(self, subset):
+        """The messages outside the subset and the target, and the pads
+        outside the subset: the edges the right side reads."""
         rest = [e for e in self.edges if e not in subset and e != self.target]
-        pad_rest = [e for e in self.edges if e not in subset]
+        return rest, [e for e in self.edges if e not in subset]
+
+    def rows(self, subset) -> dict:
+        """The subset's pair table as rows: per left value, the subset's
+        messages coded as one int, the list of its outcomes' right values.
+
+        A right value is one int whose mixed-radix digits are, most
+        significant first: the messages outside the subset and the target,
+        the pads outside the subset, and the view id.
+        """
+        rest, pad_rest = self._outside(subset)
         n_msg, n_pad, n_views = len(self.message_vectors), len(self.pad_vectors), len(self.views)
         rest_scale = n_pad ** len(pad_rest) * n_views
         pad_codes = [_radix_code(row, pad_rest, n_pad) * n_views for row in self.pad_rows]
         n_coeffs = len(self.coeff_space)
-        rows, right_counts = {}, Counter()
+        rows = {}
         pos = 0
         for row in self.message_rows:
-            cells = rows.setdefault(_radix_code(row, subset, n_msg), Counter())
+            cells = rows.setdefault(_radix_code(row, subset, n_msg), [])
             rest_code = _radix_code(row, rest, n_msg) * rest_scale
             for pad_code in pad_codes:
-                right = rest_code + pad_code
                 block = self.view_ids[pos : pos + n_coeffs]
                 pos += n_coeffs
-                cells.update(map(right.__add__, block))
-                right_counts.update(map(right.__add__, block))
-        if _is_product(rows, right_counts, self.total):
+                cells.extend(map((rest_code + pad_code).__add__, block))
+        return rows
+
+    def witness(self, subset):
+        """``independence_witness`` of the subset's pair table, or None.
+
+        The verdict is ``_equal_rows`` of ``rows(subset)``: the outcomes
+        enumerate the full product of message vectors, so every left value
+        occurs equally often. Only a failing subset counts and decodes its
+        cells to the tuple keys of ``independence_witness``.
+        """
+        rows = self.rows(subset)
+        if _equal_rows(rows.values()):
             return None
+        n_msg, n_pad = len(self.message_vectors), len(self.pad_vectors)
+        rest, pad_rest = self._outside(subset)
         left_radices = [n_msg] * len(subset)
-        right_radices = [n_msg] * len(rest) + [n_pad] * len(pad_rest) + [n_views]
+        right_radices = [n_msg] * len(rest) + [n_pad] * len(pad_rest) + [len(self.views)]
         pairs = {}
         for left_code, cells in rows.items():
             left = tuple(self.message_vectors[d] for d in _radix_digits(left_code, left_radices))
-            for right_code, count in cells.items():
+            for right_code, count in Counter(cells).items():
                 *digits, view_id = _radix_digits(right_code, right_radices)
                 answers, ci = self.views[view_id]
                 right = (
@@ -726,8 +812,37 @@ class _ViewTable:
                 pairs[(left, right)] = count
         witness = independence_witness(ExactDistribution(pairs, self.total))
         if witness is None:
-            raise AssertionError("the coded table failed the product test but its cells pass")
+            raise AssertionError("the rows of the table differ but its cells pass")
         return witness
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``fill(key)``."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _equal_rows(rows) -> bool:
+    """The cross-multiplication test of a pair table whose left values all
+    occur equally often: whether every row, the list of right values of one
+    left value, holds the same multiset.
+
+    Let the table have ``m`` left values, each of count ``total / m``, and
+    let ``c(l, r)`` be a cell's count and ``cr`` the count of ``r``. The
+    test asks ``c(l, r)·total == (total / m)·cr``, that is
+    ``c(l, r) == cr / m``, for every ``l`` and every ``r`` of the right
+    support. If it holds, ``c(l, r)`` does not depend on ``l``, so the rows
+    are equal. If the rows are equal, ``cr = m·c(l, r)`` for every ``l``,
+    so it holds. Rows are compared sorted.
+    """
+    first, *others = (sorted(row) for row in rows)
+    return all(row == first for row in others)
 
 
 def _radix_code(row, edges, radix) -> int:
@@ -749,30 +864,6 @@ def _radix_digits(code, radices) -> list[int]:
     for j in range(len(radices) - 1, -1, -1):
         code, digits[j] = divmod(code, radices[j])
     return digits
-
-
-def _is_product(rows, right_counts, total) -> bool:
-    """The cross-multiplication test over the full product of the marginal
-    supports, as ``independence_witness`` scans it.
-
-    ``rows`` maps each left value to the counts of its cells by right value;
-    ``right_counts`` is the right marginal. The test passes iff every row
-    holds every right value ``r`` with ``count·total == cl·cr``, that is iff
-    the row equals ``{r: cl·cr / total}``, where ``cl`` is the row's sum. If
-    some ``cl·cr`` is not a multiple of ``total`` no count can satisfy it.
-    Rows with one sum share one expected row, so the scan is one dict
-    comparison per left value.
-    """
-    expected = {}
-    for cells in rows.values():
-        cl = sum(cells.values())
-        if cl not in expected:
-            row = {r: cl * cr for r, cr in right_counts.items()}
-            divisible = all(x % total == 0 for x in row.values())
-            expected[cl] = {r: x // total for r, x in row.items()} if divisible else None
-        if cells != expected[cl]:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -829,8 +920,7 @@ def run_audit(
     checks; user privacy always compares every target, since it is a
     statement about pairs of them.
     """
-    if pad_length is None:
-        pad_length = message_length
+    pad_length = _resolve_pad_length(message_length, pad_length)
     checks = []
     checks.extend(
         check_reliability(

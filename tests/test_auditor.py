@@ -41,12 +41,14 @@ from graphspir import (
     state_space_size,
 )
 from graphspir.auditor import (
-    _is_product,
+    _equal_rows,
+    _reliability_witness,
     _selector_key,
     _ServerViews,
     _table_difference_witness,
+    _ViewTable,
 )
-from graphspir.protocol import ServerStore, _answer_slot, server_query
+from graphspir.protocol import ServerStore, _answer_slot, gen_queries, server_query
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -117,37 +119,6 @@ class TestIndependenceVerdicts:
         assert terms == [(Fraction(1, 2), Fraction(2)), (Fraction(1, 2), Fraction(2))]
         assert mutual_information_bits(pairs) == 1.0
 
-    @staticmethod
-    def _coded_is_product(pairs):
-        rows, right_counts = {}, Counter()
-        for (left, right), count in pairs.items():
-            rows.setdefault(left, Counter())[right] += count
-            right_counts[right] += count
-        return _is_product(rows, right_counts, sum(pairs.values()))
-
-    def test_coded_product_test_reads_every_cell(self):
-        # every cell present, yet the counts are correlated
-        assert not self._coded_is_product({(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 2})
-        assert self._coded_is_product({(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 2})
-        # a missing cell fails although every present cell is proportional
-        assert not self._coded_is_product({(0, 0): 1, (0, 1): 1, (1, 1): 1})
-        # cl·cr is not a multiple of the total, so no count can match
-        assert not self._coded_is_product({(0, 0): 1, (1, 1): 1, (1, 0): 1})
-
-    def test_coded_product_test_matches_independence_witness(self):
-        rng = random.Random(7)
-        for _ in range(300):
-            cells = {
-                (rng.randrange(3), rng.randrange(3)): rng.randint(1, 3)
-                for _ in range(rng.randint(1, 9))
-            }
-            if rng.random() < 0.3:  # an exact product table
-                left = {x: rng.randint(1, 3) for x in range(rng.randint(1, 3))}
-                right = {y: rng.randint(1, 3) for y in range(rng.randint(1, 3))}
-                cells = {(x, y): a * b for x, a in left.items() for y, b in right.items()}
-            expected = is_independent(ExactDistribution(cells, sum(cells.values())))
-            assert self._coded_is_product(cells) == expected
-
     def test_witness_to_dict(self):
         witness = independence_witness(
             ExactDistribution.from_outcomes([(0, 0), (1, 1)])
@@ -156,6 +127,58 @@ class TestIndependenceVerdicts:
         assert set(record) == {
             "left", "right", "pair_count", "left_count", "right_count", "total",
         }
+
+
+class TestEqualRows:
+    """``_equal_rows`` is the cross-multiplication test of ``is_independent``
+    on every table whose left values occur equally often."""
+
+    @staticmethod
+    def _independent(rows, total):
+        cells = {(left, r): c for left, row in rows.items() for r, c in Counter(row).items()}
+        return is_independent(ExactDistribution(cells, total))
+
+    def test_matches_is_independent_on_random_tables(self):
+        rng = random.Random(7)
+        verdicts = Counter()
+        for _ in range(400):
+            width = rng.randint(1, 6)
+            rows = {
+                left: [rng.randrange(3) for _ in range(width)]
+                for left in range(rng.randint(1, 3))
+            }
+            if rng.random() < 0.4:  # one multiset in every row, shuffled
+                rows = {left: rng.sample(rows[0], width) for left in rows}
+            verdict = _equal_rows(rows.values())
+            assert verdict == self._independent(rows, width * len(rows))
+            verdicts[verdict] += 1
+        assert verdicts[True] > 100 and verdicts[False] > 100
+
+    def test_reads_multiplicities(self):
+        # every row holds every right value, but the counts differ
+        assert not _equal_rows([[0, 0, 1], [0, 1, 1]])
+        assert _equal_rows([[0, 1, 1], [1, 0, 1]])
+        # a right value missing from one row
+        assert not _equal_rows([[0, 1], [1, 1]])
+
+    @pytest.mark.parametrize(
+        "graph, field, failing",
+        [(path_graph(3), F2, 2), (cycle_graph(3), F3, 9)],
+        ids=["path3-no-pads", "cycle3-q3-no-pads"],
+    )
+    def test_matches_is_independent_on_leaky_tables(self, graph, field, failing):
+        k = graph.n_edges
+        verdicts = []
+        for target in range(1, k + 1):
+            table = _ViewTable(graph, field, 1, 0, target)
+            others = [e for e in range(1, k + 1) if e != target]
+            for size in range(1, k):
+                for subset in itertools.combinations(others, size):
+                    rows = table.rows(subset)
+                    verdict = _equal_rows(rows.values())
+                    assert verdict == self._independent(rows, table.total)
+                    verdicts.append(verdict)
+        assert verdicts.count(False) == failing
 
 
 class TestStateSpace:
@@ -260,6 +283,98 @@ class TestReliability:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             check_reliability(complete_graph(4), F3, 1)
+
+
+def _reference_reliability(graph, field, message_length, pad_length=None, drop_server=None):
+    """The reliability check as first written: every pad vector of every
+    ``(coefficients, messages)`` pair decoded."""
+    if pad_length is None:
+        pad_length = message_length
+    q, k = field.modulus, graph.n_edges
+    kept = [n for n in range(1, graph.n_vertices + 1) if n != drop_server]
+
+    def kept_totals(row):
+        totals = [0] * k
+        for n in kept:
+            for e, x in zip(graph.incident_edges(n), row(n)):
+                totals[e - 1] += x
+        return totals
+
+    pad_weights = kept_totals(graph.incident_signs)
+    variants = [True] * (pad_length > 0) + [False] * (pad_length < message_length)
+    results = []
+    for target in range(1, k + 1):
+        failure, enumerated = None, 0
+        for padded in variants:
+            pad_space = list(field.iter_vectors(k)) if padded else [None]
+            pad_totals = [
+                (pads, sum(w * p for w, p in zip(pad_weights, pads)) % q if pads else 0)
+                for pads in pad_space
+            ]
+            for coeffs in field.iter_vectors(k):
+                queries = gen_queries(graph, field, target, coeffs)
+                weights = kept_totals(lambda n: queries[n - 1])
+                for messages in field.iter_vectors(k):
+                    dot_sum = sum(w * m for w, m in zip(weights, messages))
+                    for pads, pad_total in pad_totals:
+                        enumerated += 1
+                        if (dot_sum + pad_total) % q != messages[target - 1]:
+                            failure = failure or (coeffs, messages, pads, padded)
+            if failure:
+                break
+        witness = None
+        if failure:
+            witness = _reliability_witness(
+                graph, field, message_length, pad_length, target, drop_server, failure
+            )
+        results.append(
+            CheckResult(
+                check="reliability",
+                instance={
+                    "target": target,
+                    "slots": message_length,
+                    "joint_space": state_space_size(graph, field, message_length, pad_length),
+                },
+                passed=failure is None,
+                enumerated=enumerated,
+                witness=witness,
+            )
+        )
+    return results
+
+
+RELIABILITY_ORACLE_CASES = {
+    "path3": (path_graph(3), F2, 1, None, None, 0),
+    "cycle3-q3": (cycle_graph(3), F3, 1, None, None, 0),
+    "paw4-q3": (paw_graph(), F3, 1, None, None, 0),
+    "complete4": (complete_graph(4), F2, 1, None, None, 0),
+    "path3-L2-one-pad": (path_graph(3), F2, 2, 1, None, 0),
+    "path3-no-pads": (path_graph(3), F2, 1, 0, None, 0),
+    **{
+        f"path3-drop{n}": (path_graph(3), F2, 1, None, n, 2)
+        for n in (1, 2, 3)
+    },
+    **{
+        f"cycle3-q3-drop{n}": (cycle_graph(3), F3, 1, None, n, 3)
+        for n in (1, 2, 3)
+    },
+}
+
+
+class TestReliabilityOracle:
+    """The residue-grouped check equals the per-pad loop, witnesses included."""
+
+    @pytest.mark.parametrize(
+        "case", RELIABILITY_ORACLE_CASES.values(), ids=RELIABILITY_ORACLE_CASES.keys()
+    )
+    def test_matches_reference(self, case):
+        graph, field, length, pad_length, drop, failing = case
+        expected = _reference_reliability(graph, field, length, pad_length, drop)
+        results = check_reliability(
+            graph, field, length, pad_length=pad_length, drop_server=drop
+        )
+        assert results == expected
+        assert sum(not c.passed for c in results) == failing
 
 
 class TestUserPrivacy:
@@ -615,6 +730,46 @@ class TestSelectorKey:
             ]
             assert all(a != b for a, b in itertools.combinations(tables, 2))
         assert len(self._targets_by_key(graph, 3)) == 3
+
+
+BAD_LENGTHS = [
+    (0, None), (-1, None), (True, None), (1.0, None),
+    (1, 2), (1, -1), (1, True), (2, 1.0),
+]
+CHECKS = {
+    "reliability": check_reliability,
+    "user-privacy": check_user_privacy,
+    "database-privacy": check_database_privacy,
+    "run-audit": run_audit,
+}
+
+
+class TestLengthValidation:
+    """Bad lengths raise before any enumeration, for every entry point."""
+
+    @pytest.mark.parametrize("length, pad_length", BAD_LENGTHS)
+    @pytest.mark.parametrize("check", CHECKS.values(), ids=CHECKS.keys())
+    def test_bad_lengths_rejected(self, check, length, pad_length):
+        # complete-5 over F3 is far over the budget, so passing the length
+        # check would raise BudgetExceededError instead
+        with pytest.raises(ValueError, match="_length must be an int"):
+            check(complete_graph(5), F3, length, pad_length=pad_length)
+
+    @pytest.mark.parametrize("length, pad_length", BAD_LENGTHS)
+    def test_bad_lengths_rejected_by_view_table(self, length, pad_length):
+        with pytest.raises(ValueError, match="_length must be an int"):
+            server_view_table(path_graph(3), F2, length, 1, 1, pad_length=pad_length)
+
+    def test_zero_length_no_longer_passes(self):
+        # every check used to report passes over an empty slot space
+        for check in (check_reliability, check_user_privacy):
+            with pytest.raises(ValueError, match="message_length"):
+                check(path_graph(3), F2, 0)
+
+    @pytest.mark.parametrize("pad_length", [0, 1, 2])
+    def test_valid_pad_lengths_accepted(self, pad_length):
+        results = check_reliability(path_graph(3), F2, 2, pad_length=pad_length)
+        assert all(c.passed for c in results)
 
 
 class TestRandomnessRatio:

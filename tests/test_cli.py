@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, formats, environment."""
 
+import hashlib
 import json
 
 import pytest
@@ -214,6 +215,36 @@ class TestAuditCommand:
         )
         assert code == EXIT_FAILURE
         assert payload["expectation"]["met"] is False
+
+
+# sha256 of the audit JSON on stdout; each verdict, enumerated count and
+# witness is part of it, so any change to the auditor's results shows here
+AUDIT_DIGESTS = {
+    "cycle4": (
+        ["--family", "cycle", "--n", "4", "--q", "2"],
+        "16be53ef917870a7382a86678ce49c073bb6710040b140de190ca5110d282238",
+    ),
+    "path3-degraded": (
+        ["--family", "path", "--n", "3", "--q", "2", "--degrade-pads"],
+        "18da8f21bb18c21c75c821f140280ef77f8f1628a75cfe3c8dd08a9b9518b833",
+    ),
+    "cycle3-q3-degraded": (
+        ["--family", "cycle", "--n", "3", "--q", "3", "--degrade-pads"],
+        "db4d83e86b40354b3c3c346913ce88c5da189e66bb029563e9c98eef527a73bf",
+    ),
+    "path3-L2": (
+        ["--family", "path", "--n", "3", "--q", "2", "--length", "2"],
+        "1caf4e62e1df5c794f9425a9270c51cbe84c7e912426c6fac79bc979f0a69986",
+    ),
+}
+
+
+class TestAuditDigests:
+    @pytest.mark.parametrize("args, digest", AUDIT_DIGESTS.values(), ids=AUDIT_DIGESTS.keys())
+    def test_stdout_is_pinned(self, capsys, args, digest):
+        code, out, _ = run_cli(capsys, ["audit", *args])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestEnvironmentBudget:
