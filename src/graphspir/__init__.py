@@ -64,7 +64,6 @@ from .protocol import (
     run_round_with_coeffs,
     server_answer,
     server_answer_slot,
-    server_query,
     state_from_values,
     transcript_to_dict,
 )

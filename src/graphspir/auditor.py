@@ -19,10 +19,15 @@ Audited constraints:
   given out of band, except the pads of the probed messages) is exactly
   independent of the messages it should not learn.
 
+Every answer the checks read comes from the protocol's answer function,
+``protocol._answer_slot``, split by its additivity into a message part and a
+pad part; the auditor keeps no copy of the answer arithmetic.
+
 State spaces grow as ``q^(3·K·L)``; a budget guard refuses enumerations
 beyond a configurable outcome count rather than silently auditing a subset.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -32,10 +37,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import PrimeField
-from .graph import Graph, _is_index
+from .graph import Graph
 from .protocol import (
+    ServerStore,
     SystemState,
+    _answer_slot,
+    _place,
+    _resolve_pad_length,
     _signed_query,
+    decode,
     gen_queries,
     run_round_with_coeffs,
     state_from_values,
@@ -172,8 +182,7 @@ def mutual_information_bits(pairs: ExactDistribution) -> float:
 
 def state_space_size(graph: Graph, field: PrimeField, message_length: int, pad_length=None) -> int:
     """Number of joint realizations of messages, pads and mask coefficients."""
-    if pad_length is None:
-        pad_length = message_length
+    pad_length = _resolve_pad_length(message_length, pad_length)
     q = field.modulus
     k = graph.n_edges
     return q ** (k * message_length + k * pad_length + k * message_length)
@@ -192,8 +201,7 @@ def iter_transcript_outcomes(graph, field, message_length, target, pad_length=No
     tuples: everything the user and the servers jointly produce once the
     messages, the pads and the per-slot mask coefficients are fixed.
     """
-    if pad_length is None:
-        pad_length = message_length
+    pad_length = _resolve_pad_length(message_length, pad_length)
     k = graph.n_edges
     for messages in itertools.product(field.iter_vectors(message_length), repeat=k):
         for pads in itertools.product(field.iter_vectors(pad_length), repeat=k):
@@ -251,21 +259,6 @@ class CheckResult:
         }
 
 
-def _resolve_pad_length(message_length, pad_length) -> int:
-    """The pad length, ``message_length`` by default, once both lengths are
-    known to be ints (not bools) with ``1 <= message_length`` and
-    ``0 <= pad_length <= message_length``."""
-    if not (_is_index(message_length) and message_length >= 1):
-        raise ValueError(f"message_length must be an int >= 1, got {message_length!r}")
-    if pad_length is None:
-        return message_length
-    if not (_is_index(pad_length) and 0 <= pad_length <= message_length):
-        raise ValueError(
-            f"pad_length must be an int in 0..{message_length}, got {pad_length!r}"
-        )
-    return pad_length
-
-
 def _resolve_targets(graph: Graph, targets) -> list[int]:
     if targets is None:
         return list(range(1, graph.n_edges + 1))
@@ -299,15 +292,18 @@ def check_reliability(
     decode error exists in the joint space exactly when one exists in a slot
     space. Each distinct slot space is enumerated in full.
 
-    The decoded symbol is linear: a message part fixed by the coefficients
-    and messages, plus the pads' weighted sum ``r`` mod q. So the pad
-    vectors are grouped by ``r`` once per slot variant, keeping the first
-    vector of each residue in enumeration order, and a ``(coefficients,
-    messages)`` pair fails exactly when some residue differs from the one
-    that decodes correctly. Each pair still counts all its pad vectors in
-    ``enumerated``, and the witness is still the first failing outcome:
-    within a pair, the first failing pad vector is the first of the first
-    failing residue.
+    Decoding sums the kept answers, and an answer is linear in the held
+    messages and pads (``protocol._answer_slot``), so each symbol enters the
+    decoded sum with a weight: the sum of its kept holders' answers to the
+    unit vector at it. The decoded symbol is a message part fixed by the
+    coefficients and messages, plus the pads' weighted sum ``r`` mod q. The
+    pad vectors are grouped by ``r`` once per slot variant, keeping the
+    first vector of each residue in enumeration order, and a
+    ``(coefficients, messages)`` pair fails exactly when some residue
+    differs from the one that decodes correctly. Each pair still counts all
+    its pad vectors in ``enumerated``, and the witness is still the first
+    failing outcome: within a pair, the first failing pad vector is the
+    first of the first failing residue.
 
     ``drop_server`` excludes one server's answer from decoding; it exists as
     a negative control and makes the check fail with a witness.
@@ -318,16 +314,17 @@ def check_reliability(
         graph._check_vertex(drop_server)
     q = field.modulus
     k = graph.n_edges
-    # decoding sums the kept answers, so each message and pad symbol enters
-    # with the sum of its kept holders' query entries or incidence signs
-    kept = [n for n in range(1, graph.n_vertices + 1) if n != drop_server]
-    pad_weights = _edge_totals(graph, kept, graph.incident_signs)
+    # per edge, every server's store of the one-slot unit vector at it,
+    # placed as the messages with no pads and as the pads with zero messages
+    edges, servers = range(1, k + 1), range(1, graph.n_vertices + 1)
+    units = [[(int(e == j),) for j in edges] for e in edges]
+    message_units = [_place(graph, w, [()] * k) for w in units]
+    kept = [(n, graph.incident_edges(n)) for n in servers if n != drop_server]
+    zero_rows = [(0,) * graph.degree(n) for n in servers]
+    pad_weights = _weights(kept, [_place(graph, [(0,)] * k, z) for z in units], zero_rows, q, {})
+    memo = {}
 
-    slot_variants = []
-    if pad_length > 0:
-        slot_variants.append(True)
-    if pad_length < message_length:
-        slot_variants.append(False)
+    slot_variants = [True] * (pad_length > 0) + [False] * (pad_length < message_length)
 
     results = []
     for target in _resolve_targets(graph, targets):
@@ -343,7 +340,7 @@ def check_reliability(
                 residues.setdefault(residue, pads)
             for coeffs in field.iter_vectors(k):
                 queries = gen_queries(graph, field, target, coeffs)
-                weights = _edge_totals(graph, kept, lambda n: queries[n - 1])
+                weights = _weights(kept, message_units, queries, q, memo)
                 for messages in field.iter_vectors(k):
                     enumerated += len(pad_space)
                     if failure:
@@ -378,13 +375,19 @@ def check_reliability(
     return results
 
 
-def _edge_totals(graph, servers, row) -> list[int]:
-    """Per message, the sum over ``servers`` of the entries of ``row(n)``,
-    a vector aligned with server ``n``'s held edges."""
-    totals = [0] * graph.n_edges
-    for n in servers:
-        for e, x in zip(graph.incident_edges(n), row(n)):
-            totals[e - 1] += x
+def _weights(kept, placements, rows, q, memo) -> list[int]:
+    """Per edge ``e``, the sum of its kept holders' first-slot answers: each
+    holder ``n`` answers its query ``rows[n - 1]`` with its store in
+    ``placements[e - 1]``. ``kept`` lists ``(n, held edges)``. A server's
+    answers read the coefficients only through its row, so ``memo`` keeps
+    them per ``(n, row)``."""
+    totals = [0] * len(placements)
+    for n, held in kept:
+        row = rows[n - 1]
+        if (n, row) not in memo:
+            memo[n, row] = [_answer_slot(placements[e - 1][n - 1], row, q, 0) for e in held]
+        for e, a in zip(held, memo[n, row]):
+            totals[e - 1] += a
     return totals
 
 
@@ -398,29 +401,18 @@ def _reliability_witness(graph, field, message_length, pad_length, target, drop_
         for e in range(k)
     ]
     full_pads = [
-        tuple(
-            pads[e] if (padded and t == slot) else 0 for t in range(pad_length)
-        )
+        tuple(pads[e] if (padded and t == slot) else 0 for t in range(pad_length))
         for e in range(k)
     ]
-    coeff_slots = [
-        tuple(coeffs if t == slot else (0,) * k) for t in range(message_length)
-    ]
+    coeff_slots = [tuple(coeffs if t == slot else (0,) * k) for t in range(message_length)]
     state = state_from_values(graph, field, message_length, full_messages, full_pads)
     transcript = run_round_with_coeffs(state, target, coeff_slots)
-    answers = [
-        a
-        for n, a in enumerate(transcript.answers, start=1)
-        if n != drop_server
-    ]
-    decoded = tuple(
-        sum(a[t] for a in answers) % field.modulus for t in range(message_length)
-    )
+    answers = [a for n, a in enumerate(transcript.answers, start=1) if n != drop_server]
     return {
         "coefficients": [list(c) for c in coeff_slots],
         "messages": [list(m) for m in full_messages],
         "pads": [list(p) for p in full_pads],
-        "decoded": list(decoded),
+        "decoded": list(decode(field, answers)),
         "expected": list(full_messages[target - 1]),
     }
 
@@ -469,10 +461,12 @@ class _ServerViews:
     int whose digits are, most significant first: the per-slot query
     entries (radix ``q``), the answer symbols (radix ``q``), the index of
     the held messages and the index of the held pads, both in
-    ``itertools.product`` order over ``field.iter_vectors``. Everything but
-    the queries is the same for every target, so it is built once per
-    server: the signed pad sums of every pad vector and, per reduced
-    query-message dot product, the codes of the answer and pad digits.
+    ``itertools.product`` order over ``field.iter_vectors``. An answer is
+    the protocol's answer to (messages, no pads), the message part, plus
+    its answer to (no messages, pads), the pad part (``_answer_slot``).
+    Everything but the queries is the same for every target, so it is built
+    once per server: the pad part of every pad vector and, per vector of
+    message parts, the codes of the answer and pad digits.
     """
 
     def __init__(self, graph, field, message_length, pad_length, server, mask_queries):
@@ -488,16 +482,20 @@ class _ServerViews:
         )
         self.pad_space = list(itertools.product(field.iter_vectors(pad_length), repeat=delta))
         n_msg, n_pad = len(self.message_space), len(self.pad_space)
-        pad_sums = [
-            tuple(sum(s * p[t] for s, p in zip(self.signs, pads)) for t in range(pad_length))
-            + (0,) * (message_length - pad_length)
+        store = functools.partial(ServerStore, server, self.held, self.signs)
+        self.message_stores = [store(messages, ((),) * delta) for messages in self.message_space]
+        zero_query, zero_messages = (0,) * delta, ((0,) * message_length,) * delta
+        slots = range(message_length)
+        pad_parts = [
+            [_answer_slot(store(zero_messages, pads), zero_query, q, t) for t in slots]
             for pads in self.pad_space
         ]
-        # per dot-product vector: answer and pad digits of every pad index
+        # per vector of message parts (query-message dot products): answer
+        # and pad digits of every pad index
         self.tails = {
             dot: [
-                _digits_code([(d + s) % q for d, s in zip(dot, sums)], q) * n_msg * n_pad + j
-                for j, sums in enumerate(pad_sums)
+                _digits_code([(d + p) % q for d, p in zip(dot, parts)], q) * n_msg * n_pad + j
+                for j, parts in enumerate(pad_parts)
             ]
             for dot in itertools.product(range(q), repeat=message_length)
         }
@@ -512,13 +510,10 @@ class _ServerViews:
             _signed_query(self.held, self.signs, c, target, selected, q) for c in self.coeff_space
         ]
         query_codes = [_digits_code(query, q) for query in slot_queries]
-        # per slot, per query: its dot product with every held-message index
+        # per slot, per query: its message part with every held-message vector
         dots = [
-            [
-                [sum(y * m[t] for y, m in zip(query, messages)) % q
-                 for messages in self.message_space]
-                for query in slot_queries
-            ]
+            [[_answer_slot(store, query, q, t) for store in self.message_stores]
+             for query in slot_queries]
             for t in range(self.length)
         ]
         counts = Counter()
@@ -534,7 +529,9 @@ class _ServerViews:
         """``_table_difference_witness`` of the reference counts and the
         counts of ``target``, or None if they are equal."""
         counts = self.counts(target)
-        if counts == reference:
+        # every count is positive, so dict equality is Counter equality
+        # without its per-key Python loop
+        if dict.__eq__(counts, reference):
             return None
         return _table_difference_witness(self.decode(reference), self.decode(counts))
 
@@ -683,13 +680,14 @@ class _ViewTable:
     ``message_rows[i // len(pad_rows)]``, and its pads those numbered by
     ``pad_rows[i % len(pad_rows)]``.
 
-    Every answer symbol is a message part, the query's dot product with the
-    held messages, plus a pad part, the signed sum of the held pads. Each
-    part is computed once, the message part per ``(messages, coefficient
-    index)`` and the pad part per pad vector, reduced mod q and coded with
-    one digit per ``(server, slot)``, most significant first. The digits
-    are in radix ``2q - 1``, where two reduced parts add without carry, so
-    one int addition gives the raw code of an outcome's answers. ``ids``
+    Every answer symbol is a message part plus a pad part, the protocol's
+    answers to (messages, no pads) and to (no messages, pads)
+    (``_answer_slot``). The pad part is answered once per pad vector. A
+    server's message part reads the coefficients only through its own query
+    row, so it is answered once per message vector and distinct row. Both
+    are coded with one digit per ``(server, slot)``, most significant
+    first, in radix ``2q - 1``, where two reduced parts add without carry,
+    so one int addition gives the raw code of an outcome's answers. ``ids``
     maps a raw code (times the number of coefficient vectors, plus the
     coefficient index) to its view id; only a code not seen before is
     reduced mod q per digit to look its view up.
@@ -707,21 +705,25 @@ class _ViewTable:
         self.message_vectors = list(field.iter_vectors(message_length))
         self.pad_vectors = list(field.iter_vectors(pad_length))
         n_coeffs = len(self.coeff_space)
-        digits = [
-            (n, held, signs, t)
-            for n, (held, signs) in enumerate(graph._incidence)
-            for t in range(message_length)
-        ]
+        digits = [(n, t) for n in range(graph.n_vertices) for t in range(message_length)]
         radices = [2 * q - 1] * len(digits)
         scales = [radices[0] ** j for j in range(len(digits) - 1, -1, -1)]
-        pad_codes = [
-            sum(
-                scale * (sum(s * pads[e - 1][t] for s, e in zip(signs, held)) % q)
-                for scale, (_, held, signs, t) in zip(scales, digits)
-                if t < pad_length
-            ) * n_coeffs
-            for pads in itertools.product(self.pad_vectors, repeat=k)
+        # per digit, its distinct query rows; per coefficient index, the
+        # position of its row in each
+        query_rows = [{} for _ in digits]
+        row_picks = [
+            [query_rows[d].setdefault(queries[t][n], len(query_rows[d]))
+             for d, (n, t) in enumerate(digits)]
+            for queries in self.queries
         ]
+        no_messages = [(0,) * message_length] * k
+        pad_codes = []
+        for pads in itertools.product(self.pad_vectors, repeat=k):
+            stores = _place(graph, no_messages, pads)
+            pad_codes.append(n_coeffs * sum(
+                scale * _answer_slot(stores[n], (0,) * len(stores[n].held), q, t)
+                for scale, (n, t) in zip(scales, digits)
+            ))
         views = {}
 
         def view_id(raw):
@@ -735,13 +737,16 @@ class _ViewTable:
 
         ids = _Memo(view_id)
         self.view_ids = array("L")
+        no_pads = [()] * k
         for messages in itertools.product(self.message_vectors, repeat=k):
+            stores = _place(graph, messages, no_pads)
+            parts = [
+                [scale * _answer_slot(stores[n], row, q, t) for row in query_rows[d]]
+                for d, (scale, (n, t)) in enumerate(zip(scales, digits))
+            ]
             message_codes = [
-                sum(
-                    scale * (sum(y * messages[e - 1][t] for y, e in zip(queries[t][n], held)) % q)
-                    for scale, (n, held, _, t) in zip(scales, digits)
-                ) * n_coeffs + ci
-                for ci, queries in enumerate(self.queries)
+                sum(map(operator.getitem, parts, picks)) * n_coeffs + ci
+                for ci, picks in enumerate(row_picks)
             ]
             for pad_code in pad_codes:
                 raw_codes = map(pad_code.__add__, message_codes)

@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 
 from .field import PrimeField
-from .graph import Graph
+from .graph import Graph, _is_index
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,32 @@ class SystemState:
         return store.pads[store.held.index(k)]
 
 
+def _resolve_pad_length(message_length, pad_length) -> int:
+    """The pad length, ``message_length`` by default, once both lengths are
+    known to be ints (not bools) with ``1 <= message_length`` and
+    ``0 <= pad_length <= message_length``: pads longer than messages would
+    never be consumed."""
+    if not (_is_index(message_length) and message_length >= 1):
+        raise ValueError(f"message_length must be an int >= 1, got {message_length!r}")
+    if pad_length is None:
+        return message_length
+    if not (_is_index(pad_length) and 0 <= pad_length <= message_length):
+        raise ValueError(
+            f"pad_length must be an int in 0..{message_length}, got {pad_length!r}"
+        )
+    return pad_length
+
+
+def _place(graph: Graph, messages, pads) -> tuple[ServerStore, ...]:
+    """Unchecked core of ``state_from_values``: every server's store of the
+    per-edge ``messages`` and ``pads``."""
+    return tuple(
+        ServerStore(server, held, signs,
+                    tuple(messages[k - 1] for k in held), tuple(pads[k - 1] for k in held))
+        for server, (held, signs) in enumerate(graph._incidence, start=1)
+    )
+
+
 def state_from_values(
     graph: Graph,
     field: PrimeField,
@@ -77,10 +103,9 @@ def state_from_values(
     normally equal to ``message_length``). Both holders of an edge receive
     identical copies.
     """
-    if message_length < 1:
-        raise ValueError(f"message_length must be >= 1, got {message_length}")
     messages = tuple(tuple(m) for m in messages)
     pads = tuple(tuple(p) for p in pads)
+    pad_length = _resolve_pad_length(message_length, len(pads[0]) if pads else 0)
     if len(messages) != graph.n_edges:
         raise ValueError(f"expected {graph.n_edges} messages, got {len(messages)}")
     if len(pads) != graph.n_edges:
@@ -90,25 +115,12 @@ def state_from_values(
             raise ValueError(f"message {m} is not {message_length} symbols long")
         for s in m:
             field.check(s)
-    pad_length = len(pads[0]) if pads else 0
     for p in pads:
         if len(p) != pad_length:
             raise ValueError("pads must all have the same length")
         for s in p:
             field.check(s)
-    if pad_length > message_length:
-        raise ValueError("pads longer than messages are never consumed")
-    stores = tuple(
-        ServerStore(
-            server=server,
-            held=held,
-            signs=signs,
-            messages=tuple(messages[k - 1] for k in held),
-            pads=tuple(pads[k - 1] for k in held),
-        )
-        for server, (held, signs) in enumerate(graph._incidence, start=1)
-    )
-    return SystemState(graph, field, message_length, pad_length, stores)
+    return SystemState(graph, field, message_length, pad_length, _place(graph, messages, pads))
 
 
 def init_system(
@@ -124,10 +136,7 @@ def init_system(
     message symbol); smaller values leave the trailing symbol slots bare and
     exist to demonstrate that database privacy then breaks.
     """
-    if pad_length is None:
-        pad_length = message_length
-    if not 0 <= pad_length <= message_length:
-        raise ValueError(f"pad_length must be in 0..{message_length}, got {pad_length}")
+    pad_length = _resolve_pad_length(message_length, pad_length)
     messages = []
     pads = []
     for _ in range(graph.n_edges):
@@ -137,43 +146,15 @@ def init_system(
 
 
 def _signed_query(held, signs, coeffs_held, target: int, selected: bool, q: int):
-    """Unchecked core of ``server_query``: signs the held coefficients and,
-    at the selected holder, adds 1 at the target's coordinate."""
+    """Unchecked core of ``gen_queries`` for one server: signs the held
+    coefficients and, at the selected holder, adds 1 at the target's
+    coordinate."""
     # +1 entries reuse the coefficient objects, which keeps long transcripts small
     query = [c if sign == 1 else -c % q for sign, c in zip(signs, coeffs_held)]
     if selected:
         m = held.index(target)
         query[m] = (query[m] + 1) % q
     return tuple(query)
-
-
-def server_query(
-    graph: Graph,
-    field: PrimeField,
-    target: int,
-    server: int,
-    coeffs_held,
-) -> tuple[int, ...]:
-    """One server's query for one symbol slot.
-
-    ``coeffs_held`` carries the user's mask coefficients for exactly the
-    messages this server holds, aligned with its ascending held indices. The
-    entries are signed with the server's incidence signs, and 1 is added at
-    the target's coordinate if this server is the target's larger-indexed
-    holder.
-    """
-    held = graph.incident_edges(server)
-    coeffs_held = tuple(coeffs_held)
-    if len(coeffs_held) != len(held):
-        raise ValueError(
-            f"server {server} holds {len(held)} messages, got {len(coeffs_held)} coefficients"
-        )
-    for c in coeffs_held:
-        field.check(c)
-    _, larger = graph.message_holders(target)
-    return _signed_query(
-        held, graph.incident_signs(server), coeffs_held, target, server == larger, field.modulus
-    )
 
 
 def gen_queries(graph: Graph, field: PrimeField, target: int, coeffs) -> tuple:
@@ -198,7 +179,20 @@ def gen_queries(graph: Graph, field: PrimeField, target: int, coeffs) -> tuple:
 
 
 def _answer_slot(store: ServerStore, query, q: int, slot: int) -> int:
-    """Unchecked core of ``server_answer_slot``."""
+    """Unchecked core of ``server_answer_slot``, and the one place that
+    turns a query, messages and pads into an answer symbol.
+
+    For a fixed query and slot, answer(W, Z) = answer(W, no pads) +
+    answer(no messages, Z) mod q, where "no pads" are pads of length 0 and
+    "no messages" are zero messages. Proof: before reduction the answer is
+    ``sum(c * W[slot])``, which reads no pad, plus ``sum(sign * Z[slot])``,
+    which reads no message. No pads empty the second sum, zero messages
+    zero the first, and reduction mod q respects addition. So the pad part
+    answer(no messages, Z) reads nothing of the query. Both sums are also
+    linear, so an answer is the sum of the answers to unit vectors, each
+    scaled by its symbol. The auditor builds every answer it checks from
+    these parts.
+    """
     total = 0
     for c, message in zip(query, store.messages):
         total += c * message[slot]

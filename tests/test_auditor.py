@@ -8,12 +8,15 @@ prove the failure paths produce witnesses instead of silently passing.
 import itertools
 import json
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import graphspir.cli as cli
+import graphspir.protocol as protocol
 from formula_oracles import paw_graph
 from graphspir import (
     DEFAULT_BUDGET,
@@ -48,7 +51,7 @@ from graphspir.auditor import (
     _table_difference_witness,
     _ViewTable,
 )
-from graphspir.protocol import ServerStore, _answer_slot, gen_queries, server_query
+from graphspir.protocol import ServerStore, _answer_slot, gen_queries
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -189,6 +192,16 @@ class TestStateSpace:
 
     def test_degraded_pads_shrink_the_space(self):
         assert state_space_size(path_graph(3), F2, 1, pad_length=0) == 16
+
+    @pytest.mark.parametrize(
+        "message_length, pad_length",
+        [(-1, None), (0, None), (True, None), (1.0, None), (1, 2), (1, -1), (1, True)],
+    )
+    def test_lengths_are_validated(self, message_length, pad_length):
+        with pytest.raises(ValueError):
+            state_space_size(path_graph(3), F2, message_length, pad_length)
+        with pytest.raises(ValueError):
+            next(iter_transcript_outcomes(path_graph(3), F2, message_length, 1, pad_length))
 
     def test_budget_error_reports_required_size(self):
         with pytest.raises(BudgetExceededError) as info:
@@ -605,8 +618,16 @@ def _reference_server_view_table(
     held = graph.incident_edges(server)
     delta = len(held)
     coeff_space = field.iter_vectors(delta) if mask_queries else [(0,) * delta]
+
+    def query(coeffs_held):
+        # the full coefficient vector, zero off the held edges
+        coeffs = [0] * graph.n_edges
+        for e, c in zip(held, coeffs_held):
+            coeffs[e - 1] = c
+        return gen_queries(graph, field, target, coeffs)[server - 1]
+
     query_space = [
-        tuple(server_query(graph, field, target, server, coeffs) for coeffs in slot_coeffs)
+        tuple(query(coeffs) for coeffs in slot_coeffs)
         for slot_coeffs in itertools.product(coeff_space, repeat=message_length)
     ]
     signs = graph.incident_signs(server)
@@ -842,3 +863,28 @@ class TestRunAudit:
     def test_explicit_budget_allows_larger_space(self):
         report = run_audit(path_graph(3), F5, 1, budget=5 ** 6)
         assert report.all_passed
+
+
+def _answer_with_unsigned_pads(store, query, q, slot):
+    """The protocol's answer with every pad added at sign +1: a broken
+    scheme whose decoded sums keep twice each pad."""
+    total = sum(c * message[slot] for c, message in zip(query, store.messages))
+    total += sum(pad[slot] for pad in store.pads if slot < len(pad))
+    return total % q
+
+
+def test_checks_audit_the_shipped_answer_function(monkeypatch, capsys):
+    """A broken answer function, bound wherever the package binds the
+    shipped one, makes the audit fail: the checks hold no copy of it."""
+    shipped = protocol._answer_slot
+    patched = []
+    for name, module in list(sys.modules.items()):
+        in_package = name.partition(".")[0] == "graphspir"
+        if in_package and getattr(module, "_answer_slot", None) is shipped:
+            monkeypatch.setattr(module, "_answer_slot", _answer_with_unsigned_pads)
+            patched.append(name)
+    assert "graphspir.protocol" in patched
+    results = check_reliability(path_graph(3), F3, 1)
+    assert any(not c.passed and c.witness is not None for c in results)
+    assert cli.main(["audit", "--family", "path", "--n", "3", "--q", "3"]) == 2
+    assert not json.loads(capsys.readouterr().out)["all_passed"]

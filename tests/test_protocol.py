@@ -75,6 +75,11 @@ class TestInitSystem:
         with pytest.raises(ValueError):
             init_system(path_graph(3), F2, 2, random.Random(0), pad_length=-1)
 
+    @pytest.mark.parametrize("length", [True, 1.0, 0])
+    def test_message_length_must_be_a_positive_int(self, length):
+        with pytest.raises(ValueError):
+            init_system(path_graph(3), F5, length, random.Random(0))
+
 
 class TestStateFromValues:
     def test_explicit_values_placed(self):
@@ -98,6 +103,15 @@ class TestStateFromValues:
     def test_uneven_pad_lengths(self):
         with pytest.raises(ValueError):
             state_from_values(path_graph(3), F3, 1, ((2,), (1,)), ((0,), ()))
+
+    @pytest.mark.parametrize("length", [True, 1.0, 0])
+    def test_message_length_must_be_a_positive_int(self, length):
+        with pytest.raises(ValueError):
+            state_from_values(path_graph(3), F3, length, ((2,), (1,)), ((0,), (2,)))
+
+    def test_pads_longer_than_messages(self):
+        with pytest.raises(ValueError):
+            state_from_values(path_graph(3), F3, 1, ((2,), (1,)), ((0, 1), (2, 0)))
 
 
 class TestGenQueries:
