@@ -16,13 +16,9 @@ from .auditor import (
     check_database_privacy,
     check_reliability,
     check_user_privacy,
-    enumerate_transcripts,
     independence_witness,
-    is_independent,
     iter_transcript_outcomes,
-    mutual_information_bits,
     mutual_information_terms,
-    randomness_ratio,
     run_audit,
     server_view_table,
     state_space_size,
@@ -43,13 +39,10 @@ from .graph import (
     build_graph,
     complete_graph,
     cycle_graph,
-    format_edge_list,
     from_family,
-    incidence_matrix,
     parse_edge_list,
     path_graph,
     regular_graph,
-    signed_incidence,
     star_graph,
 )
 from .protocol import (
@@ -57,12 +50,10 @@ from .protocol import (
     ServerStore,
     SystemState,
     decode,
-    format_transcript,
     gen_queries,
     init_system,
     run_round,
     run_round_with_coeffs,
-    server_answer,
     server_answer_slot,
     state_from_values,
     transcript_to_dict,

@@ -29,7 +29,6 @@ beyond a configurable outcome count rather than silently auditing a subset.
 
 import functools
 import itertools
-import math
 import operator
 from array import array
 from collections import Counter
@@ -40,10 +39,10 @@ from .field import PrimeField
 from .graph import Graph
 from .protocol import (
     ServerStore,
-    SystemState,
     _answer_slot,
     _place,
     _resolve_pad_length,
+    _selector_key,
     _signed_query,
     decode,
     gen_queries,
@@ -83,20 +82,6 @@ class ExactDistribution:
             raise ValueError("total does not match the sum of counts")
         if any(c <= 0 for c in self.counts.values()):
             raise ValueError("counts must be positive")
-
-    @classmethod
-    def from_outcomes(cls, outcomes) -> "ExactDistribution":
-        counts = Counter(outcomes)
-        return cls(dict(counts), sum(counts.values()))
-
-    def marginal(self, project) -> "ExactDistribution":
-        counts = Counter()
-        for outcome, count in self.counts.items():
-            counts[project(outcome)] += count
-        return ExactDistribution(dict(counts), self.total)
-
-    def support(self):
-        return self.counts.keys()
 
 
 @dataclass(frozen=True)
@@ -149,11 +134,6 @@ def independence_witness(pairs: ExactDistribution):
     return None
 
 
-def is_independent(pairs: ExactDistribution) -> bool:
-    """Exact zero-mutual-information verdict for a paired distribution."""
-    return independence_witness(pairs) is None
-
-
 def mutual_information_terms(pairs: ExactDistribution):
     """The mutual information as an exact sum of ``p * log2(ratio)`` terms.
 
@@ -168,11 +148,6 @@ def mutual_information_terms(pairs: ExactDistribution):
         ratio = Fraction(count * pairs.total, left_counts[left] * right_counts[right])
         terms.append((p, ratio))
     return terms
-
-
-def mutual_information_bits(pairs: ExactDistribution) -> float:
-    """Float convenience value in bits; verdicts never depend on it."""
-    return sum(float(p) * math.log2(ratio) for p, ratio in mutual_information_terms(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -195,45 +170,28 @@ def _ensure_budget(graph, field, message_length, pad_length, budget):
 
 
 def iter_transcript_outcomes(graph, field, message_length, target, pad_length=None):
-    """Yield one outcome per joint realization, driving the protocol module.
+    """An iterator with one outcome per joint realization, driving the
+    protocol module.
 
     Outcomes are ``(messages, pads, coefficients, queries, answers)`` nested
     tuples: everything the user and the servers jointly produce once the
-    messages, the pads and the per-slot mask coefficients are fixed.
+    messages, the pads and the per-slot mask coefficients are fixed. The
+    lengths and the target are validated at the call, not at the first
+    outcome.
     """
     pad_length = _resolve_pad_length(message_length, pad_length)
+    graph._check_edge(target)
     k = graph.n_edges
-    for messages in itertools.product(field.iter_vectors(message_length), repeat=k):
-        for pads in itertools.product(field.iter_vectors(pad_length), repeat=k):
-            state = state_from_values(graph, field, message_length, messages, pads)
-            for coeffs in itertools.product(field.iter_vectors(k), repeat=message_length):
-                transcript = run_round_with_coeffs(state, target, coeffs)
-                yield (messages, pads, coeffs, transcript.queries, transcript.answers)
 
+    def outcomes():
+        for messages in itertools.product(field.iter_vectors(message_length), repeat=k):
+            for pads in itertools.product(field.iter_vectors(pad_length), repeat=k):
+                state = state_from_values(graph, field, message_length, messages, pads)
+                for coeffs in itertools.product(field.iter_vectors(k), repeat=message_length):
+                    transcript = run_round_with_coeffs(state, target, coeffs)
+                    yield (messages, pads, coeffs, transcript.queries, transcript.answers)
 
-def enumerate_transcripts(
-    graph: Graph,
-    field: PrimeField,
-    message_length: int,
-    target: int,
-    *,
-    pad_length=None,
-    budget: int = DEFAULT_BUDGET,
-) -> ExactDistribution:
-    """The exact joint distribution of one round, one outcome per realization.
-
-    Messages, pads and mask coefficients are uniform and independent, so
-    every realization has the same probability and appears with count 1.
-    """
-    pad_length = _resolve_pad_length(message_length, pad_length)
-    _ensure_budget(graph, field, message_length, pad_length, budget)
-    counts = {
-        outcome: 1
-        for outcome in iter_transcript_outcomes(
-            graph, field, message_length, target, pad_length
-        )
-    }
-    return ExactDistribution(counts, len(counts))
+    return outcomes()
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +401,8 @@ def server_view_table(
     graph._check_edge(target)
     graph._check_vertex(server)
     views = _ServerViews(graph, field, message_length, pad_length, server, mask_queries)
-    return ExactDistribution(views.decode(views.counts(target)), views.total)
-
-
-def _selector_key(graph: Graph, server: int, target: int):
-    """What a server's query depends on of the target: the position of the
-    selector among its held edges, or None if it is not the target's larger
-    holder (``_signed_query`` reads nothing else of the target)."""
-    _, larger = graph.message_holders(target)
-    return graph.incident_edges(server).index(target) if server == larger else None
+    key = _selector_key(graph, server, target)
+    return ExactDistribution(views.decode(views.counts(key)), views.total)
 
 
 class _ServerViews:
@@ -470,7 +421,6 @@ class _ServerViews:
     """
 
     def __init__(self, graph, field, message_length, pad_length, server, mask_queries):
-        self.graph, self.server = graph, server
         self.held, self.signs = graph._incidence[server - 1]
         self.q = q = field.modulus
         self.length = message_length
@@ -502,13 +452,11 @@ class _ServerViews:
         self.answer_scale = q**message_length * n_msg * n_pad
         self.total = len(self.coeff_space) ** message_length * n_msg * n_pad
 
-    def counts(self, target) -> Counter:
-        """Count the coded views of a round retrieving ``target``."""
+    def counts(self, key) -> Counter:
+        """Count the coded views of a round whose target has this server's
+        selector key ``key`` (``_selector_key``)."""
         q, n_pad = self.q, len(self.pad_space)
-        selected = self.server == self.graph.message_holders(target)[1]
-        slot_queries = [
-            _signed_query(self.held, self.signs, c, target, selected, q) for c in self.coeff_space
-        ]
+        slot_queries = [_signed_query(self.signs, c, key, q) for c in self.coeff_space]
         query_codes = [_digits_code(query, q) for query in slot_queries]
         # per slot, per query: its message part with every held-message vector
         dots = [
@@ -525,10 +473,10 @@ class _ServerViews:
                 counts.update(map((base + mi * n_pad).__add__, self.tails[dot]))
         return counts
 
-    def witness(self, reference, target):
+    def witness(self, reference, key):
         """``_table_difference_witness`` of the reference counts and the
-        counts of ``target``, or None if they are equal."""
-        counts = self.counts(target)
+        counts of selector key ``key``, or None if they are equal."""
+        counts = self.counts(key)
         # every count is positive, so dict equality is Counter equality
         # without its per-key Python loop
         if dict.__eq__(counts, reference):
@@ -582,13 +530,10 @@ def check_user_privacy(
     for server in range(1, graph.n_vertices + 1):
         views = _ServerViews(graph, field, message_length, pad_length, server, mask_queries)
         keys = {t: _selector_key(graph, server, t) for t in range(1, graph.n_edges + 1)}
-        first = {}
-        for target, key in keys.items():
-            first.setdefault(key, target)
-        reference = views.counts(1)
+        reference = views.counts(keys[1])
         witnesses = {
-            key: None if target == 1 else views.witness(reference, target)
-            for key, target in first.items()
+            key: None if key == keys[1] else views.witness(reference, key)
+            for key in set(keys.values())
         }
         for target in range(2, graph.n_edges + 1):
             witness = witnesses[keys[target]]
@@ -874,11 +819,6 @@ def _radix_digits(code, radices) -> list[int]:
 # ---------------------------------------------------------------------------
 # assembled audits
 # ---------------------------------------------------------------------------
-
-
-def randomness_ratio(state: SystemState) -> Fraction:
-    """Pad symbols consumed per message symbol retrieved."""
-    return Fraction(state.pad_length, state.message_length)
 
 
 @dataclass(frozen=True)

@@ -76,9 +76,6 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (self.check(a) + self.check(b)) % self.modulus
 
-    def sub(self, a: int, b: int) -> int:
-        return (self.check(a) - self.check(b)) % self.modulus
-
     def neg(self, a: int) -> int:
         return -self.check(a) % self.modulus
 
@@ -91,11 +88,8 @@ class PrimeField:
             total += self.check(s)
         return total % self.modulus
 
-    def sample(self, rng) -> int:
-        """One symbol drawn uniformly, deterministic given the rng's state."""
-        return rng.randrange(self.modulus)
-
     def sample_vector(self, rng, length: int) -> tuple[int, ...]:
+        """``length`` symbols drawn uniformly, deterministic given the rng's state."""
         return tuple(rng.randrange(self.modulus) for _ in range(length))
 
     def elements(self) -> range:

@@ -68,7 +68,8 @@ class Graph:
     @cached_property
     def _incidence(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """Per vertex, its held edges (ascending 1-based indices) and their
-        signs: the nonzero entries of its row of ``signed_incidence``.
+        signs: +1 where it is the edge's smaller endpoint, -1 where the larger.
+        These are the nonzero entries of its row of the signed incidence.
 
         Built once per graph on first use. ``cached_property`` stores it in
         the instance dict, outside the dataclass fields, so equality and
@@ -93,12 +94,6 @@ class Graph:
         """
         self._check_vertex(vertex)
         return self._incidence[vertex - 1][0]
-
-    def incident_signs(self, vertex: int) -> tuple[int, ...]:
-        """The incidence signs of ``vertex``, aligned with ``incident_edges``:
-        +1 where it is the edge's smaller endpoint, -1 where the larger."""
-        self._check_vertex(vertex)
-        return self._incidence[vertex - 1][1]
 
     def message_holders(self, k: int) -> tuple[int, int]:
         """The two servers storing message ``k``, as ``(smaller, larger)``."""
@@ -130,29 +125,6 @@ def build_graph(n_vertices: int, edges) -> Graph:
             u, v = v, u
         normalized.append((u, v))
     return Graph(n_vertices, tuple(normalized))
-
-
-def incidence_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """0/1 vertex-by-edge incidence table (row per server, column per message)."""
-    table = [[0] * g.n_edges for _ in range(g.n_vertices)]
-    for k, (u, v) in enumerate(g.edges):
-        table[u - 1][k] = 1
-        table[v - 1][k] = 1
-    return tuple(tuple(row) for row in table)
-
-
-def signed_incidence(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Incidence table with +1 at each edge's smaller endpoint and -1 at the larger.
-
-    Every column carries exactly one +1 and one -1, so the column sums are
-    zero; summing any quantity weighted by a column's signs over all
-    vertices cancels. Decoding relies on exactly this.
-    """
-    table = [[0] * g.n_edges for _ in range(g.n_vertices)]
-    for k, (u, v) in enumerate(g.edges):
-        table[u - 1][k] = 1
-        table[v - 1][k] = -1
-    return tuple(tuple(row) for row in table)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +243,3 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"header declares {n_edges} edges but {len(edges)} follow")
     return build_graph(n_vertices, edges)
 
-
-def format_edge_list(g: Graph) -> str:
-    """Serialize to the edge-list format; round-trips through parse_edge_list."""
-    lines = [f"{g.n_vertices} {g.n_edges}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"

@@ -18,7 +18,6 @@ the single-symbol round once per slot with fresh mask coefficients; pads are
 consumed per slot as well. Download is one symbol per server per slot.
 """
 
-import json
 from dataclasses import dataclass
 
 from .field import PrimeField
@@ -46,21 +45,11 @@ class SystemState:
     pad_length: int
     stores: tuple[ServerStore, ...]
 
-    def store(self, server: int) -> ServerStore:
-        if not 1 <= server <= self.graph.n_vertices:
-            raise ValueError(f"no server {server!r}")
-        return self.stores[server - 1]
-
     def message(self, k: int) -> tuple[int, ...]:
         """The stored message ``k`` (read from its smaller-indexed holder)."""
         holder, _ = self.graph.message_holders(k)
         store = self.stores[holder - 1]
         return store.messages[store.held.index(k)]
-
-    def pad(self, k: int) -> tuple[int, ...]:
-        holder, _ = self.graph.message_holders(k)
-        store = self.stores[holder - 1]
-        return store.pads[store.held.index(k)]
 
 
 def _resolve_pad_length(message_length, pad_length) -> int:
@@ -145,15 +134,22 @@ def init_system(
     return state_from_values(graph, field, message_length, messages, pads)
 
 
-def _signed_query(held, signs, coeffs_held, target: int, selected: bool, q: int):
+def _selector_key(graph: Graph, server: int, target: int):
+    """What a server's query depends on of the target: the position of the
+    selector among its held edges, or None if it is not the target's larger
+    holder (``_signed_query`` reads nothing else of the target)."""
+    _, larger = graph.message_holders(target)
+    return graph.incident_edges(server).index(target) if server == larger else None
+
+
+def _signed_query(signs, coeffs_held, position, q: int):
     """Unchecked core of ``gen_queries`` for one server: signs the held
-    coefficients and, at the selected holder, adds 1 at the target's
-    coordinate."""
+    coefficients and adds 1 at the selector's ``position`` among them, if
+    it is not None (``_selector_key``)."""
     # +1 entries reuse the coefficient objects, which keeps long transcripts small
     query = [c if sign == 1 else -c % q for sign, c in zip(signs, coeffs_held)]
-    if selected:
-        m = held.index(target)
-        query[m] = (query[m] + 1) % q
+    if position is not None:
+        query[position] = (query[position] + 1) % q
     return tuple(query)
 
 
@@ -165,6 +161,7 @@ def gen_queries(graph: Graph, field: PrimeField, target: int, coeffs) -> tuple:
     messages, signed, plus the selector increment at one holder.
     """
     _, larger = graph.message_holders(target)
+    position = _selector_key(graph, larger, target)
     coeffs = tuple(coeffs)
     if len(coeffs) != graph.n_edges:
         raise ValueError(f"expected {graph.n_edges} coefficients, got {len(coeffs)}")
@@ -172,7 +169,8 @@ def gen_queries(graph: Graph, field: PrimeField, target: int, coeffs) -> tuple:
         field.check(c)
     return tuple(
         _signed_query(
-            held, signs, [coeffs[k - 1] for k in held], target, server == larger, field.modulus
+            signs, [coeffs[k - 1] for k in held], position if server == larger else None,
+            field.modulus,
         )
         for server, (held, signs) in enumerate(graph._incidence, start=1)
     )
@@ -227,12 +225,6 @@ def server_answer_slot(store: ServerStore, query, field: PrimeField, slot: int) 
     for c in query:
         field.check(c)
     return _answer_slot(store, query, field.modulus, slot)
-
-
-def server_answer(store: ServerStore, query, field: PrimeField) -> tuple[int, ...]:
-    """Apply one query to every symbol slot of the server's stores."""
-    n_slots = len(store.messages[0]) if store.messages else 0
-    return tuple(server_answer_slot(store, query, field, t) for t in range(n_slots))
 
 
 def decode(field: PrimeField, answers) -> tuple[int, ...]:
@@ -307,8 +299,3 @@ def transcript_to_dict(t: RoundTranscript) -> dict:
         "downloaded_symbols": t.downloaded_symbols,
     }
 
-
-def format_transcript(t: RoundTranscript) -> str:
-    """Canonical one-line JSON record of a round; byte-stable for a given
-    state and coefficient sequence."""
-    return json.dumps(transcript_to_dict(t), sort_keys=True, separators=(",", ":"))

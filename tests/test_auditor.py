@@ -29,15 +29,11 @@ from graphspir import (
     check_user_privacy,
     complete_graph,
     cycle_graph,
-    enumerate_transcripts,
     independence_witness,
     init_system,
-    is_independent,
     iter_transcript_outcomes,
-    mutual_information_bits,
     mutual_information_terms,
     path_graph,
-    randomness_ratio,
     run_audit,
     server_view_table,
     star_graph,
@@ -46,24 +42,24 @@ from graphspir import (
 from graphspir.auditor import (
     _equal_rows,
     _reliability_witness,
-    _selector_key,
     _ServerViews,
     _table_difference_witness,
     _ViewTable,
 )
-from graphspir.protocol import ServerStore, _answer_slot, gen_queries
+from graphspir.protocol import ServerStore, _answer_slot, _selector_key, gen_queries
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 
 
-class TestExactDistribution:
-    def test_from_outcomes_counts(self):
-        dist = ExactDistribution.from_outcomes(["a", "b", "a", "a"])
-        assert dist.counts == {"a": 3, "b": 1}
-        assert dist.total == 4
+def _distribution(outcomes):
+    """The exact distribution of a list of outcomes, one count each."""
+    counts = Counter(outcomes)
+    return ExactDistribution(dict(counts), sum(counts.values()))
 
+
+class TestExactDistribution:
     def test_total_must_match(self):
         with pytest.raises(ValueError):
             ExactDistribution({"a": 2}, 3)
@@ -72,27 +68,16 @@ class TestExactDistribution:
         with pytest.raises(ValueError):
             ExactDistribution({"a": 2, "b": 0}, 2)
 
-    def test_marginal_preserves_total(self):
-        dist = ExactDistribution.from_outcomes([(0, 0), (0, 1), (1, 0), (1, 1)])
-        left = dist.marginal(lambda pair: pair[0])
-        assert left.counts == {0: 2, 1: 2}
-        assert left.total == dist.total
-
-    def test_support(self):
-        dist = ExactDistribution.from_outcomes([3, 3, 5])
-        assert sorted(dist.support()) == [3, 5]
-
 
 class TestIndependenceVerdicts:
     def test_product_of_fair_bits_is_independent(self):
-        pairs = ExactDistribution.from_outcomes(
+        pairs = _distribution(
             [(a, b) for a in (0, 1) for b in (0, 1)]
         )
-        assert is_independent(pairs)
         assert independence_witness(pairs) is None
 
     def test_correlated_pair_yields_witness(self):
-        pairs = ExactDistribution.from_outcomes([(0, 0), (1, 1)])
+        pairs = _distribution([(0, 0), (1, 1)])
         witness = independence_witness(pairs)
         assert witness is not None
         assert witness.pair_count * witness.total != (
@@ -101,30 +86,29 @@ class TestIndependenceVerdicts:
 
     def test_structurally_missing_cell_caught(self):
         # both marginals put weight on 1, but (1, 1) never occurs
-        pairs = ExactDistribution.from_outcomes([(0, 0), (0, 1), (1, 0)])
+        pairs = _distribution([(0, 0), (0, 1), (1, 0)])
         witness = independence_witness(pairs)
         assert witness is not None
 
     def test_biased_but_independent(self):
         outcomes = [(a, b) for a in (0, 0, 1) for b in (0, 1, 1)]
-        assert is_independent(ExactDistribution.from_outcomes(outcomes))
+        assert independence_witness(_distribution(outcomes)) is None
 
     def test_information_terms_ratio_one_iff_independent(self):
-        product = ExactDistribution.from_outcomes(
+        product = _distribution(
             [(a, b) for a in (0, 1) for b in (0, 1, 2)]
         )
         assert all(ratio == 1 for _, ratio in mutual_information_terms(product))
-        assert mutual_information_bits(product) == 0.0
 
     def test_correlated_pair_carries_one_bit(self):
-        pairs = ExactDistribution.from_outcomes([(0, 0), (1, 1)])
+        pairs = _distribution([(0, 0), (1, 1)])
         terms = mutual_information_terms(pairs)
+        # one bit: each term is p * log2(ratio) = 1/2 * log2(2)
         assert terms == [(Fraction(1, 2), Fraction(2)), (Fraction(1, 2), Fraction(2))]
-        assert mutual_information_bits(pairs) == 1.0
 
     def test_witness_to_dict(self):
         witness = independence_witness(
-            ExactDistribution.from_outcomes([(0, 0), (1, 1)])
+            _distribution([(0, 0), (1, 1)])
         )
         record = witness.to_dict()
         assert set(record) == {
@@ -133,13 +117,14 @@ class TestIndependenceVerdicts:
 
 
 class TestEqualRows:
-    """``_equal_rows`` is the cross-multiplication test of ``is_independent``
-    on every table whose left values occur equally often."""
+    """``_equal_rows`` is the cross-multiplication test of
+    ``independence_witness`` on every table whose left values occur equally
+    often."""
 
     @staticmethod
     def _independent(rows, total):
         cells = {(left, r): c for left, row in rows.items() for r, c in Counter(row).items()}
-        return is_independent(ExactDistribution(cells, total))
+        return independence_witness(ExactDistribution(cells, total)) is None
 
     def test_matches_is_independent_on_random_tables(self):
         rng = random.Random(7)
@@ -200,12 +185,18 @@ class TestStateSpace:
     def test_lengths_are_validated(self, message_length, pad_length):
         with pytest.raises(ValueError):
             state_space_size(path_graph(3), F2, message_length, pad_length)
+        # at the call, not at the first outcome
         with pytest.raises(ValueError):
-            next(iter_transcript_outcomes(path_graph(3), F2, message_length, 1, pad_length))
+            iter_transcript_outcomes(path_graph(3), F2, message_length, 1, pad_length)
+
+    @pytest.mark.parametrize("target", [0, 3, True, 1.0])
+    def test_target_is_validated_at_the_call(self, target):
+        with pytest.raises(ValueError, match="no message"):
+            iter_transcript_outcomes(path_graph(3), F2, 1, target)
 
     def test_budget_error_reports_required_size(self):
         with pytest.raises(BudgetExceededError) as info:
-            enumerate_transcripts(cycle_graph(3), F5, 2, 1)
+            check_reliability(cycle_graph(3), F5, 2)
         assert info.value.required == 5 ** 18
         assert info.value.budget == DEFAULT_BUDGET
         assert str(info.value.required) in str(info.value)
@@ -213,16 +204,15 @@ class TestStateSpace:
 
 class TestEnumerateTranscripts:
     def test_line_graph_space(self):
-        dist = enumerate_transcripts(path_graph(3), F2, 1, 1)
-        assert dist.total == 64
-        assert all(count == 1 for count in dist.counts.values())
+        outcomes = list(iter_transcript_outcomes(path_graph(3), F2, 1, 1))
+        assert len(outcomes) == len(set(outcomes)) == 64
 
     def test_ring_graph_space(self):
-        assert enumerate_transcripts(cycle_graph(3), F2, 1, 2).total == 512
+        assert sum(1 for _ in iter_transcript_outcomes(cycle_graph(3), F2, 1, 2)) == 512
 
     def test_outcome_shape(self):
-        dist = enumerate_transcripts(path_graph(3), F2, 1, 1)
-        messages, pads, coeffs, queries, answers = next(iter(dist.support()))
+        outcome = next(iter_transcript_outcomes(path_graph(3), F2, 1, 1))
+        messages, pads, coeffs, queries, answers = outcome
         assert len(messages) == 2 and all(len(w) == 1 for w in messages)
         assert len(pads) == 2
         assert len(coeffs) == 1 and len(coeffs[0]) == 2
@@ -230,8 +220,8 @@ class TestEnumerateTranscripts:
         assert len(answers) == 3
 
     def test_deterministic(self):
-        a = enumerate_transcripts(path_graph(3), F3, 1, 2)
-        b = enumerate_transcripts(path_graph(3), F3, 1, 2)
+        a = list(iter_transcript_outcomes(path_graph(3), F3, 1, 2))
+        b = list(iter_transcript_outcomes(path_graph(3), F3, 1, 2))
         assert a == b
 
 
@@ -313,7 +303,7 @@ def _reference_reliability(graph, field, message_length, pad_length=None, drop_s
                 totals[e - 1] += x
         return totals
 
-    pad_weights = kept_totals(graph.incident_signs)
+    pad_weights = kept_totals(lambda n: graph._incidence[n - 1][1])
     variants = [True] * (pad_length > 0) + [False] * (pad_length < message_length)
     results = []
     for target in range(1, k + 1):
@@ -449,19 +439,20 @@ class TestServerViewTable:
         # the same factor q^((K - degree) * (2L + pad_length))
         graph, server, target = cycle_graph(3), 1, 1
         held = graph.incident_edges(server)
-        full = enumerate_transcripts(graph, F2, 1, target).marginal(
-            lambda outcome: (
+        full = Counter(
+            (
                 tuple(slot[server - 1] for slot in outcome[3]),
                 outcome[4][server - 1],
                 tuple(outcome[0][e - 1] for e in held),
                 tuple(outcome[1][e - 1] for e in held),
             )
+            for outcome in iter_transcript_outcomes(graph, F2, 1, target)
         )
         reduced = server_view_table(graph, F2, 1, target, server)
         scale = 2 ** ((graph.n_edges - len(held)) * 3)
         assert scale == 8
-        assert full.total == reduced.total * scale
-        assert full.counts == {
+        assert full.total() == reduced.total * scale
+        assert dict(full) == {
             view: count * scale for view, count in reduced.counts.items()
         }
 
@@ -630,7 +621,7 @@ def _reference_server_view_table(
         tuple(query(coeffs) for coeffs in slot_coeffs)
         for slot_coeffs in itertools.product(coeff_space, repeat=message_length)
     ]
-    signs = graph.incident_signs(server)
+    signs = graph._incidence[server - 1][1]
     table = Counter()
     for queries in query_space:
         for messages in itertools.product(field.iter_vectors(message_length), repeat=delta):
@@ -729,7 +720,7 @@ class TestSelectorKey:
         for server in range(1, graph.n_vertices + 1):
             views = _ServerViews(graph, F2, 1, 1, server, mask)
             for key, targets in self._targets_by_key(graph, server).items():
-                shared = views.decode(views.counts(targets[0]))
+                shared = views.decode(views.counts(key))
                 for target in targets:
                     fresh = _reference_server_view_table(graph, F2, 1, target, server, 1, mask)
                     assert shared == fresh.counts
@@ -794,15 +785,22 @@ class TestLengthValidation:
 
 
 class TestRandomnessRatio:
+    """Pad symbols stored per message symbol stored."""
+
+    @staticmethod
+    def _ratio(state):
+        stored = [(p, m) for s in state.stores for p, m in zip(s.pads, s.messages)]
+        return Fraction(sum(len(p) for p, _ in stored), sum(len(m) for _, m in stored))
+
     def test_full_pads(self):
         state = init_system(path_graph(3), F3, 1, random.Random(0))
-        assert randomness_ratio(state) == 1
+        assert self._ratio(state) == 1
         state = init_system(path_graph(3), F3, 4, random.Random(0))
-        assert randomness_ratio(state) == 1
+        assert self._ratio(state) == 1
 
     def test_degraded_pads(self):
         state = init_system(path_graph(3), F3, 2, random.Random(0), pad_length=1)
-        assert randomness_ratio(state) == Fraction(1, 2)
+        assert self._ratio(state) == Fraction(1, 2)
 
 
 class TestRunAudit:

@@ -6,10 +6,8 @@ import json
 import pytest
 
 import graphspir.cli as cli
-from graphspir import AuditReport, CheckResult, format_edge_list
+from graphspir import AuditReport, CheckResult
 from graphspir.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
-
-from formula_oracles import paw_graph
 
 
 def run_cli(capsys, argv):
@@ -217,32 +215,42 @@ class TestAuditCommand:
         assert payload["expectation"]["met"] is False
 
 
-# sha256 of the audit JSON on stdout; each verdict, enumerated count and
-# witness is part of it, so any change to the auditor's results shows here
-AUDIT_DIGESTS = {
+# sha256 of the JSON on stdout; each round, verdict, enumerated count and
+# witness is part of it, so any change to the results shows here
+STDOUT_DIGESTS = {
     "cycle4": (
-        ["--family", "cycle", "--n", "4", "--q", "2"],
+        ["audit", "--family", "cycle", "--n", "4", "--q", "2"],
         "16be53ef917870a7382a86678ce49c073bb6710040b140de190ca5110d282238",
     ),
     "path3-degraded": (
-        ["--family", "path", "--n", "3", "--q", "2", "--degrade-pads"],
+        ["audit", "--family", "path", "--n", "3", "--q", "2", "--degrade-pads"],
         "18da8f21bb18c21c75c821f140280ef77f8f1628a75cfe3c8dd08a9b9518b833",
     ),
     "cycle3-q3-degraded": (
-        ["--family", "cycle", "--n", "3", "--q", "3", "--degrade-pads"],
+        ["audit", "--family", "cycle", "--n", "3", "--q", "3", "--degrade-pads"],
         "db4d83e86b40354b3c3c346913ce88c5da189e66bb029563e9c98eef527a73bf",
     ),
     "path3-L2": (
-        ["--family", "path", "--n", "3", "--q", "2", "--length", "2"],
+        ["audit", "--family", "path", "--n", "3", "--q", "2", "--length", "2"],
         "1caf4e62e1df5c794f9425a9270c51cbe84c7e912426c6fac79bc979f0a69986",
+    ),
+    "run-path3-q5": (
+        ["run", "--family", "path", "--n", "3", "--q", "5", "--seed", "7"],
+        "b09441cceadbe675f2dc3488c654a3e613c91d86a1b0a7fb665f11f27487edca",
+    ),
+    "capacity-cycle5": (
+        ["capacity", "--family", "cycle", "--n", "5"],
+        "c9aee21a2acabb1a546f21c841a477c4baec1d8432aedf626513cf45442e24c0",
     ),
 }
 
 
 class TestAuditDigests:
-    @pytest.mark.parametrize("args, digest", AUDIT_DIGESTS.values(), ids=AUDIT_DIGESTS.keys())
-    def test_stdout_is_pinned(self, capsys, args, digest):
-        code, out, _ = run_cli(capsys, ["audit", *args])
+    """The audit digests, and one pinned ``run`` and ``capacity`` each."""
+
+    @pytest.mark.parametrize("argv, digest", STDOUT_DIGESTS.values(), ids=STDOUT_DIGESTS.keys())
+    def test_stdout_is_pinned(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, argv)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -292,7 +300,7 @@ class TestCapacityCommand:
 
     def test_edge_list_file_with_unknown_capacity(self, capsys, tmp_path):
         listing = tmp_path / "paw.edges"
-        listing.write_text(format_edge_list(paw_graph()))
+        listing.write_text("4 4\n1 2\n1 3\n2 3\n3 4\n")  # the paw graph
         code, payload = run_json(capsys, ["capacity", "--edge-list", str(listing)])
         assert code == EXIT_OK
         assert payload["capacity"] is None

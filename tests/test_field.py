@@ -25,11 +25,6 @@ class TestArithmetic:
         assert PrimeField(5).mul(3, 0) == 0
         assert PrimeField(7).mul(3, 5) == 1
 
-    def test_sub_matches_add_neg(self):
-        field = PrimeField(5)
-        for a, b in itertools.product(field.elements(), repeat=2):
-            assert field.sub(a, b) == field.add(a, field.neg(b))
-
     def test_sum_empty_is_zero(self):
         assert PrimeField(3).sum(()) == 0
 
@@ -135,23 +130,22 @@ class TestSampling:
     def test_same_seed_same_sequence(self):
         field = PrimeField(2)
         rng_a, rng_b = random.Random(41), random.Random(41)
-        draws_a = [field.sample(rng_a) for _ in range(50)]
-        draws_b = [field.sample(rng_b) for _ in range(50)]
+        draws_a = [field.sample_vector(rng_a, 5) for _ in range(10)]
+        draws_b = [field.sample_vector(rng_b, 5) for _ in range(10)]
         assert draws_a == draws_b
 
     def test_sample_in_range(self):
         field = PrimeField(7)
         rng = random.Random(3)
-        for _ in range(200):
-            assert 0 <= field.sample(rng) < 7
+        assert all(0 <= s < 7 for s in field.sample_vector(rng, 200))
 
     def test_uniformity_frequencies(self):
         field = PrimeField(5)
         rng = random.Random(2024)
         draws = 100_000
         counts = [0] * 5
-        for _ in range(draws):
-            counts[field.sample(rng)] += 1
+        for s in field.sample_vector(rng, draws):
+            counts[s] += 1
         for count in counts:
             assert 0.18 <= count / draws <= 0.22
 

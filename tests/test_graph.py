@@ -9,19 +9,38 @@ from graphspir import (
     build_graph,
     complete_graph,
     cycle_graph,
-    format_edge_list,
     from_family,
-    incidence_matrix,
     parse_edge_list,
     path_graph,
     regular_graph,
-    signed_incidence,
     star_graph,
 )
 
 
 def paw_graph():
     return build_graph(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
+
+
+def _plain_rows(g):
+    """The 0/1 vertex-by-edge incidence table, read from ``incident_edges``."""
+    return tuple(
+        tuple(int(k in g.incident_edges(v)) for k in range(1, g.n_edges + 1))
+        for v in range(1, g.n_vertices + 1)
+    )
+
+
+def _signed_rows(g):
+    """The signed incidence table, read from the per-vertex index."""
+    return tuple(
+        tuple(dict(zip(held, signs)).get(k, 0) for k in range(1, g.n_edges + 1))
+        for held, signs in g._incidence
+    )
+
+
+def _scanned_incidence(g, vertex):
+    """Brute force: the held edges and signs of ``vertex``, by a scan of ``g.edges``."""
+    held = tuple(k for k, edge in enumerate(g.edges, start=1) if vertex in edge)
+    return held, tuple(1 if g.edges[k - 1][0] == vertex else -1 for k in held)
 
 
 class TestBuildGraph:
@@ -84,13 +103,13 @@ class TestBuildGraph:
 
 class TestIncidenceMatrices:
     def test_path3_incidence(self):
-        assert incidence_matrix(path_graph(3)) == ((1, 0), (1, 1), (0, 1))
+        assert _plain_rows(path_graph(3)) == ((1, 0), (1, 1), (0, 1))
 
     def test_cycle3_incidence(self):
-        assert incidence_matrix(cycle_graph(3)) == ((1, 0, 1), (1, 1, 0), (0, 1, 1))
+        assert _plain_rows(cycle_graph(3)) == ((1, 0, 1), (1, 1, 0), (0, 1, 1))
 
     def test_star4_incidence(self):
-        assert incidence_matrix(star_graph(4)) == (
+        assert _plain_rows(star_graph(4)) == (
             (1, 0, 0),
             (0, 1, 0),
             (0, 0, 1),
@@ -98,17 +117,17 @@ class TestIncidenceMatrices:
         )
 
     def test_path3_signed(self):
-        assert signed_incidence(path_graph(3)) == ((1, 0), (-1, 1), (0, -1))
+        assert _signed_rows(path_graph(3)) == ((1, 0), (-1, 1), (0, -1))
 
     def test_cycle3_signed(self):
-        assert signed_incidence(cycle_graph(3)) == (
+        assert _signed_rows(cycle_graph(3)) == (
             (1, 0, 1),
             (-1, 1, 0),
             (0, -1, -1),
         )
 
     def test_star4_signed(self):
-        assert signed_incidence(star_graph(4)) == (
+        assert _signed_rows(star_graph(4)) == (
             (1, 0, 0),
             (0, 1, 0),
             (0, 0, 1),
@@ -116,7 +135,7 @@ class TestIncidenceMatrices:
         )
 
     def test_paw_signed(self):
-        assert signed_incidence(paw_graph()) == (
+        assert _signed_rows(paw_graph()) == (
             (1, 1, 0, 0),
             (-1, 0, 1, 0),
             (0, -1, -1, 1),
@@ -136,8 +155,8 @@ class TestIncidenceMatrices:
         ids=["path3", "path6", "cycle4", "star5", "complete4", "paw"],
     )
     def test_column_structure(self, graph):
-        signed = signed_incidence(graph)
-        plain = incidence_matrix(graph)
+        signed = _signed_rows(graph)
+        plain = _plain_rows(graph)
         for k in range(graph.n_edges):
             column = [signed[n][k] for n in range(graph.n_vertices)]
             assert sorted(column) == [-1] + [0] * (graph.n_vertices - 2) + [1]
@@ -178,19 +197,19 @@ class TestVertexEdgeQueries:
     def test_edge_sign(self):
         g = paw_graph()
         # +1 at an edge's smaller holder, -1 at its larger one
-        assert dict(zip(g.incident_edges(1), g.incident_signs(1)))[1] == 1
-        assert dict(zip(g.incident_edges(2), g.incident_signs(2)))[1] == -1
-        assert dict(zip(g.incident_edges(3), g.incident_signs(3)))[4] == 1
-        assert dict(zip(g.incident_edges(4), g.incident_signs(4)))[4] == -1
+        assert dict(zip(*g._incidence[0]))[1] == 1
+        assert dict(zip(*g._incidence[1]))[1] == -1
+        assert dict(zip(*g._incidence[2]))[4] == 1
+        assert dict(zip(*g._incidence[3]))[4] == -1
 
     def test_edge_sign_non_incident(self):
         g = path_graph(3)
         assert 2 not in g.incident_edges(1)
-        assert len(g.incident_signs(1)) == len(g.incident_edges(1)) == 1
+        assert len(g._incidence[0][1]) == len(g.incident_edges(1)) == 1
 
     def test_bool_vertex_and_message_rejected(self):
         g = path_graph(3)
-        for call in (g.degree, g.incident_edges, g.incident_signs):
+        for call in (g.degree, g.incident_edges):
             with pytest.raises(ValueError, match="no vertex True"):
                 call(True)
         with pytest.raises(ValueError, match="no message True"):
@@ -231,19 +250,15 @@ INDEXED_GRAPHS = {
 
 
 class TestIncidenceIndex:
-    """The per-vertex index agrees with a scan of the signed incidence."""
+    """The per-vertex index agrees with a scan of the edges."""
 
     @pytest.mark.parametrize("graph", INDEXED_GRAPHS.values(), ids=INDEXED_GRAPHS.keys())
     def test_matches_signed_incidence_scan(self, graph):
-        for vertex, row in enumerate(signed_incidence(graph), start=1):
-            held = tuple(k for k, entry in enumerate(row, start=1) if entry)
+        for vertex in range(1, graph.n_vertices + 1):
+            held, signs = _scanned_incidence(graph, vertex)
+            assert graph._incidence[vertex - 1] == (held, signs)
             assert graph.incident_edges(vertex) == held
-            assert graph.incident_signs(vertex) == tuple(row[k - 1] for k in held)
             assert graph.degree(vertex) == len(held)
-
-    def test_incident_signs_out_of_range(self):
-        with pytest.raises(ValueError):
-            path_graph(3).incident_signs(4)
 
     def test_equality_and_hash_ignore_the_index(self):
         indexed, fresh = cycle_graph(5), cycle_graph(5)
@@ -329,11 +344,9 @@ class TestEdgeListFormat:
 
     def test_round_trip_is_identity(self):
         for graph in (path_graph(4), cycle_graph(5), star_graph(4), paw_graph()):
-            text = format_edge_list(graph)
-            again = parse_edge_list(text)
-            assert again.n_vertices == graph.n_vertices
-            assert again.edges == graph.edges
-            assert format_edge_list(again) == text
+            text = f"{graph.n_vertices} {graph.n_edges}\n"
+            text += "".join(f"{u} {v}\n" for u, v in graph.edges)
+            assert parse_edge_list(text) == graph
 
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(ValueError, match="line 1"):

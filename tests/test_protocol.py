@@ -10,13 +10,11 @@ from graphspir import (
     PrimeField,
     cycle_graph,
     decode,
-    format_transcript,
     gen_queries,
     init_system,
     path_graph,
     run_round,
     run_round_with_coeffs,
-    server_answer,
     server_answer_slot,
     star_graph,
     state_from_values,
@@ -38,11 +36,10 @@ class TestInitSystem:
         state = init_system(cycle_graph(3), F3, 2, random.Random(5))
         for k in range(1, state.graph.n_edges + 1):
             lo, hi = state.graph.message_holders(k)
-            store_lo, store_hi = state.store(lo), state.store(hi)
+            store_lo, store_hi = state.stores[lo - 1], state.stores[hi - 1]
             assert store_lo.messages[store_lo.held.index(k)] == state.message(k)
             assert store_hi.messages[store_hi.held.index(k)] == state.message(k)
-            assert store_lo.pads[store_lo.held.index(k)] == state.pad(k)
-            assert store_hi.pads[store_hi.held.index(k)] == state.pad(k)
+            assert store_lo.pads[store_lo.held.index(k)] == store_hi.pads[store_hi.held.index(k)]
 
     def test_deterministic_given_seed(self):
         a = init_system(path_graph(4), F5, 2, random.Random(11))
@@ -54,7 +51,7 @@ class TestInitSystem:
         # every vector two symbols long
         state = init_system(cycle_graph(3), F3, 2, random.Random(0))
         for server in (1, 2, 3):
-            store = state.store(server)
+            store = state.stores[server - 1]
             assert len(store.messages) == 2
             assert len(store.pads) == 2
             assert all(len(w) == 2 for w in store.messages)
@@ -67,7 +64,7 @@ class TestInitSystem:
     def test_degraded_pad_length(self):
         state = init_system(path_graph(3), F2, 3, random.Random(0), pad_length=1)
         assert state.pad_length == 1
-        assert all(len(state.pad(k)) == 1 for k in (1, 2))
+        assert all(len(pad) == 1 for store in state.stores for pad in store.pads)
 
     def test_pad_length_out_of_range(self):
         with pytest.raises(ValueError):
@@ -86,7 +83,7 @@ class TestStateFromValues:
         state = state_from_values(path_graph(3), F3, 1, ((2,), (1,)), ((0,), (2,)))
         assert state.message(1) == (2,)
         assert state.message(2) == (1,)
-        assert state.pad(2) == (2,)
+        assert state.stores[2].pads == ((2,),)
 
     def test_wrong_message_count(self):
         with pytest.raises(ValueError):
@@ -163,40 +160,38 @@ class TestServerAnswer:
         for h1, w1, r1 in itertools.product(range(5), repeat=3):
             state = state_from_values(path_graph(3), F5, 1, ((w1,), (0,)), ((r1,), (0,)))
             queries = gen_queries(path_graph(3), F5, 2, (h1, 0))
-            answer = server_answer(state.store(1), queries[0], F5)
-            assert answer == (F5.add(F5.mul(h1, w1), r1),)
+            answer = server_answer_slot(state.stores[0], queries[0], F5, 0)
+            assert answer == F5.add(F5.mul(h1, w1), r1)
 
     def test_zero_query_zero_pads_gives_zero(self):
         state = state_from_values(path_graph(3), F5, 1, ((3,), (4,)), ((), ()))
-        for server in (1, 2, 3):
-            store = state.store(server)
+        for store in state.stores:
             zero_query = (0,) * len(store.held)
-            assert server_answer(store, zero_query, F5) == (0,)
+            assert server_answer_slot(store, zero_query, F5, 0) == 0
 
     def test_linearity_on_pad_free_store(self):
         state = state_from_values(
             cycle_graph(3), F5, 1, ((2,), (3,), (4,)), ((), (), ())
         )
-        store = state.store(2)
+        store = state.stores[1]
         for q1, q2 in itertools.product(F5.iter_vectors(2), repeat=2):
             q_sum = tuple(F5.add(a, b) for a, b in zip(q1, q2))
-            left = server_answer(store, q_sum, F5)
-            right = tuple(
-                F5.add(a, b)
-                for a, b in zip(server_answer(store, q1, F5), server_answer(store, q2, F5))
+            left = server_answer_slot(store, q_sum, F5, 0)
+            right = F5.add(
+                server_answer_slot(store, q1, F5, 0), server_answer_slot(store, q2, F5, 0)
             )
             assert left == right
 
     def test_query_length_mismatch(self):
         state = state_from_values(path_graph(3), F5, 1, ((3,), (4,)), ((1,), (2,)))
         with pytest.raises(ValueError):
-            server_answer(state.store(2), (1,), F5)
+            server_answer_slot(state.stores[1], (1,), F5, 0)
 
     def test_bare_slots_skip_pads(self):
         # pads cover only the first slot; the second slot's answer is the
         # plain inner product
         state = state_from_values(path_graph(3), F5, 2, ((1, 2), (3, 4)), ((2,), (1,)))
-        store = state.store(1)
+        store = state.stores[0]
         assert server_answer_slot(store, (1,), F5, 0) == F5.add(1, 2)
         assert server_answer_slot(store, (1,), F5, 1) == 2
 
@@ -208,10 +203,9 @@ class TestSignCancellation:
     )
     def test_pads_cancel_under_zero_queries(self, graph):
         state = init_system(graph, F5, 1, random.Random(17))
-        per_server = []
-        for server in range(1, graph.n_vertices + 1):
-            store = state.store(server)
-            per_server.append(server_answer(store, (0,) * len(store.held), F5))
+        per_server = [
+            (server_answer_slot(store, (0,) * len(store.held), F5, 0),) for store in state.stores
+        ]
         assert decode(F5, per_server) == (0,)
 
 
@@ -278,6 +272,11 @@ class TestRunRound:
             run_round_with_coeffs(state, 1, ((0, 0),))
 
 
+def _canonical(transcript):
+    """The canonical one-line JSON record of a round."""
+    return json.dumps(transcript_to_dict(transcript), sort_keys=True, separators=(",", ":"))
+
+
 class TestTranscript:
     def _golden_round(self):
         rng = random.Random(7)
@@ -286,7 +285,7 @@ class TestTranscript:
 
     def test_golden_serialization(self):
         _, transcript = self._golden_round()
-        assert format_transcript(transcript) == GOLDEN_TRANSCRIPT
+        assert _canonical(transcript) == GOLDEN_TRANSCRIPT
 
     def test_golden_decodes_stored_message(self):
         state, transcript = self._golden_round()
@@ -295,13 +294,13 @@ class TestTranscript:
     def test_dict_round_trips_through_json(self):
         _, transcript = self._golden_round()
         record = transcript_to_dict(transcript)
-        assert record == json.loads(format_transcript(transcript))
+        assert record == json.loads(_canonical(transcript))
         assert record["target"] == 2
         assert record["downloaded_symbols"] == 3
 
     def test_serialization_is_canonical(self):
         _, transcript = self._golden_round()
-        a = format_transcript(transcript)
-        b = format_transcript(transcript)
+        a = _canonical(transcript)
+        b = _canonical(transcript)
         assert a == b
         assert "\n" not in a and " " not in a
