@@ -11,9 +11,9 @@ Audited constraints:
 
 * reliability — summing all answers yields the target message, for every
   joint realization of messages, pads and mask coefficients;
-* user privacy — each server's view (its query, its answer, its stored
-  messages and pads) has exactly the same distribution whichever message is
-  being retrieved;
+* user privacy — each server's view (its queries, its answer, its stored
+  messages and pads) has one distribution for every target; the answer is a
+  function of the rest, so this is decided exactly on the query counts;
 * database privacy — the user's whole view (all queries, all answers, the
   mask coefficients, plus every message and pad the user could have been
   given out of band, except the pads of the probed messages) is exactly
@@ -400,104 +400,51 @@ def server_view_table(
     pad_length = _resolve_pad_length(message_length, pad_length)
     graph._check_edge(target)
     graph._check_vertex(server)
-    views = _ServerViews(graph, field, message_length, pad_length, server, mask_queries)
     key = _selector_key(graph, server, target)
-    return ExactDistribution(views.decode(views.counts(key)), views.total)
+    queries = _query_counts(graph, field, message_length, server, key, mask_queries)
+    views = _view_counts(graph, field, message_length, pad_length, server, queries)
+    return ExactDistribution(views, sum(views.values()))
 
 
-class _ServerViews:
-    """One server's views of a round, one int each.
+def _query_counts(graph, field, message_length, server, key, mask_queries) -> Counter:
+    """Count the per-slot query tuples ``server`` receives in a round whose
+    target has its selector key ``key`` (``_selector_key``), over every
+    vector of its held mask coefficients in every slot. ``mask_queries=False``
+    sends the raw selector: the query with every coefficient zero."""
+    held, signs = graph._incidence[server - 1]
+    coeff_space = field.iter_vectors(len(held)) if mask_queries else [(0,) * len(held)]
+    slot_queries = [_signed_query(signs, c, key, field.modulus) for c in coeff_space]
+    return Counter(itertools.product(slot_queries, repeat=message_length))
 
-    A view ``(queries, answer, messages, pads)`` is coded as the mixed-radix
-    int whose digits are, most significant first: the per-slot query
-    entries (radix ``q``), the answer symbols (radix ``q``), the index of
-    the held messages and the index of the held pads, both in
-    ``itertools.product`` order over ``field.iter_vectors``. An answer is
-    the protocol's answer to (messages, no pads), the message part, plus
-    its answer to (no messages, pads), the pad part (``_answer_slot``).
-    Everything but the queries is the same for every target, so it is built
-    once per server: the pad part of every pad vector and, per vector of
-    message parts, the codes of the answer and pad digits.
-    """
 
-    def __init__(self, graph, field, message_length, pad_length, server, mask_queries):
-        self.held, self.signs = graph._incidence[server - 1]
-        self.q = q = field.modulus
-        self.length = message_length
-        delta = len(self.held)
-        # the raw selector is the query with every mask coefficient zero
-        self.coeff_space = list(field.iter_vectors(delta)) if mask_queries else [(0,) * delta]
-        self.message_space = list(
-            itertools.product(field.iter_vectors(message_length), repeat=delta)
-        )
-        self.pad_space = list(itertools.product(field.iter_vectors(pad_length), repeat=delta))
-        n_msg, n_pad = len(self.message_space), len(self.pad_space)
-        store = functools.partial(ServerStore, server, self.held, self.signs)
-        self.message_stores = [store(messages, ((),) * delta) for messages in self.message_space]
-        zero_query, zero_messages = (0,) * delta, ((0,) * message_length,) * delta
-        slots = range(message_length)
-        pad_parts = [
-            [_answer_slot(store(zero_messages, pads), zero_query, q, t) for t in slots]
-            for pads in self.pad_space
-        ]
-        # per vector of message parts (query-message dot products): answer
-        # and pad digits of every pad index
-        self.tails = {
-            dot: [
-                _digits_code([(d + p) % q for d, p in zip(dot, parts)], q) * n_msg * n_pad + j
-                for j, parts in enumerate(pad_parts)
-            ]
-            for dot in itertools.product(range(q), repeat=message_length)
-        }
-        self.answer_scale = q**message_length * n_msg * n_pad
-        self.total = len(self.coeff_space) ** message_length * n_msg * n_pad
-
-    def counts(self, key) -> Counter:
-        """Count the coded views of a round whose target has this server's
-        selector key ``key`` (``_selector_key``)."""
-        q, n_pad = self.q, len(self.pad_space)
-        slot_queries = [_signed_query(self.signs, c, key, q) for c in self.coeff_space]
-        query_codes = [_digits_code(query, q) for query in slot_queries]
-        # per slot, per query: its message part with every held-message vector
-        dots = [
-            [[_answer_slot(store, query, q, t) for store in self.message_stores]
-             for query in slot_queries]
-            for t in range(self.length)
-        ]
-        counts = Counter()
-        for picks in itertools.product(range(len(slot_queries)), repeat=self.length):
-            query_code = _digits_code([query_codes[p] for p in picks], q ** len(self.held))
-            base = query_code * self.answer_scale
-            slot_dots = zip(*(dots[t][p] for t, p in enumerate(picks)))
-            for mi, dot in enumerate(slot_dots):
-                counts.update(map((base + mi * n_pad).__add__, self.tails[dot]))
-        return counts
-
-    def witness(self, reference, key):
-        """``_table_difference_witness`` of the reference counts and the
-        counts of selector key ``key``, or None if they are equal."""
-        counts = self.counts(key)
-        # every count is positive, so dict equality is Counter equality
-        # without its per-key Python loop
-        if dict.__eq__(counts, reference):
-            return None
-        return _table_difference_witness(self.decode(reference), self.decode(counts))
-
-    def decode(self, counts) -> dict:
-        """The same counts keyed by the view tuples they code."""
-        n_msg, n_pad = len(self.message_space), len(self.pad_space)
-        delta, length = len(self.held), self.length
-        views = {}
-        for code, count in counts.items():
-            code, pj = divmod(code, n_pad)
-            code, mi = divmod(code, n_msg)
-            digits = _radix_digits(code, [self.q] * (length * delta + length))
-            queries = tuple(
-                tuple(digits[t * delta : (t + 1) * delta]) for t in range(length)
-            )
-            answer = tuple(digits[length * delta :])
-            views[(queries, answer, self.message_space[mi], self.pad_space[pj])] = count
-        return views
+def _view_counts(graph, field, message_length, pad_length, server, query_counts) -> dict:
+    """The view table of a server's query counts: every view
+    ``(queries, answer, messages, pads)`` over all held messages and pads,
+    counted as its query tuple. The answer is the message part, the
+    protocol's answer to (messages, no pads), plus the pad part, its answer
+    to (no messages, pads) (``_answer_slot``), which reads no query."""
+    held, signs = graph._incidence[server - 1]
+    q, delta, slots = field.modulus, len(held), range(message_length)
+    store = functools.partial(ServerStore, server, held, signs)
+    message_space = list(itertools.product(field.iter_vectors(message_length), repeat=delta))
+    pad_space = list(itertools.product(field.iter_vectors(pad_length), repeat=delta))
+    message_stores = [store(messages, ((),) * delta) for messages in message_space]
+    zero_query, zero_messages = (0,) * delta, ((0,) * message_length,) * delta
+    pad_parts = [
+        [_answer_slot(store(zero_messages, pads), zero_query, q, t) for t in slots]
+        for pads in pad_space
+    ]
+    answers = {
+        part: [tuple((m + p) % q for m, p in zip(part, pad_part)) for pad_part in pad_parts]
+        for part in itertools.product(range(q), repeat=message_length)
+    }
+    views = {}
+    for queries, count in query_counts.items():
+        for messages, message_store in zip(message_space, message_stores):
+            part = tuple(_answer_slot(message_store, queries[t], q, t) for t in slots)
+            for answer, pads in zip(answers[part], pad_space):
+                views[queries, answer, messages, pads] = count
+    return views
 
 
 def check_user_privacy(
@@ -515,10 +462,20 @@ def check_user_privacy(
     count-table equality against the target-1 table; equality is
     transitive, so every pair of targets is covered.
 
-    A server's view depends on the target only through ``_selector_key``,
-    so one coded table is built per distinct key (at most ``1 + degree``
-    per server) and shared by the targets with that key. Only an unequal
-    pair decodes its tables to view tuples for the witness.
+    Each server's tables are decided on its query tables. Its view is
+    ``(queries, answer, messages, pads)`` on its held edges, where the
+    answer is ``_answer_slot`` of the other three, and the mask coefficients
+    are drawn independently of the messages and pads. So a view's count is
+    its query tuple's count if the answer is right and 0 otherwise
+    (``_view_counts``), and summing a view table over answers, messages and
+    pads gives the query table times ``q^(deg·(L + L'))``. Two targets' view
+    tables are therefore equal exactly when their query tables are. The
+    query tables are counted over the whole held coefficient space, so an
+    unmasked selector fails because its counts differ, not by an argument.
+    A server's query depends on the target only through ``_selector_key``,
+    so it counts one query ``Counter`` per distinct key (at most
+    ``1 + degree``); only an unequal pair is expanded to views for the
+    witness.
 
     ``mask_queries=False`` is a negative control that sends the raw selector
     (no mask coefficients); the check must then fail at the selector-holding
@@ -528,13 +485,20 @@ def check_user_privacy(
     _ensure_budget(graph, field, message_length, pad_length, budget)
     results = []
     for server in range(1, graph.n_vertices + 1):
-        views = _ServerViews(graph, field, message_length, pad_length, server, mask_queries)
         keys = {t: _selector_key(graph, server, t) for t in range(1, graph.n_edges + 1)}
-        reference = views.counts(keys[1])
-        witnesses = {
-            key: None if key == keys[1] else views.witness(reference, key)
+        tables = {
+            key: _query_counts(graph, field, message_length, server, key, mask_queries)
             for key in set(keys.values())
         }
+        reference = tables[keys[1]]
+        views = functools.partial(_view_counts, graph, field, message_length, pad_length, server)
+        witnesses = {
+            key: None if table == reference
+            else _table_difference_witness(views(reference), views(table))
+            for key, table in tables.items()
+        }
+        views_per_query = field.modulus ** (graph.degree(server) * (message_length + pad_length))
+        enumerated = sum(reference.values()) * views_per_query
         for target in range(2, graph.n_edges + 1):
             witness = witnesses[keys[target]]
             results.append(
@@ -542,7 +506,7 @@ def check_user_privacy(
                     check="user-privacy",
                     instance={"server": server, "target": target, "reference": 1},
                     passed=witness is None,
-                    enumerated=views.total,
+                    enumerated=enumerated,
                     witness=dict(witness) if witness else None,
                 )
             )
@@ -796,15 +760,11 @@ def _equal_rows(rows) -> bool:
 
 
 def _radix_code(row, edges, radix) -> int:
-    """The digits ``row[e - 1]`` for ``e`` in ``edges``, as one int."""
-    return _digits_code([row[e - 1] for e in edges], radix)
-
-
-def _digits_code(digits, radix) -> int:
-    """The digits, most significant first, as one int."""
+    """The digits ``row[e - 1]`` for ``e`` in ``edges``, most significant
+    first, as one int."""
     code = 0
-    for d in digits:
-        code = code * radix + d
+    for e in edges:
+        code = code * radix + row[e - 1]
     return code
 
 

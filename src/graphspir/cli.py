@@ -117,6 +117,9 @@ def _config_from_args(args) -> RunConfig:
     flag_budget = getattr(args, "budget", None)
     if flag_budget is not None and flag_budget < 1:
         raise UsageError(f"--budget must be a positive integer, got {flag_budget}")
+    message_length = getattr(args, "length", 1)
+    if message_length < 1:
+        raise UsageError(f"--length must be >= 1, got {message_length}")
     return RunConfig(
         command=args.command,
         family=getattr(args, "family", None),
@@ -124,7 +127,7 @@ def _config_from_args(args) -> RunConfig:
         degree=getattr(args, "degree", None),
         edge_list=getattr(args, "edge_list", None),
         modulus=getattr(args, "q", 0),
-        message_length=getattr(args, "length", 1),
+        message_length=message_length,
         target=str(getattr(args, "theta", "all")),
         seed=getattr(args, "seed", 0),
         budget=flag_budget if flag_budget is not None else _env_budget(),
@@ -155,13 +158,6 @@ def _load_graph(cfg: RunConfig) -> tuple[Graph, str]:
     raise UsageError("a graph is required: --family ... --n ... or --edge-list FILE")
 
 
-def _field(cfg: RunConfig) -> PrimeField:
-    try:
-        return PrimeField(cfg.modulus)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
 def _targets(cfg: RunConfig, graph: Graph) -> list[int]:
     if cfg.target == "all":
         return list(range(1, graph.n_edges + 1))
@@ -176,9 +172,7 @@ def _targets(cfg: RunConfig, graph: Graph) -> list[int]:
 
 def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
     graph, name = _load_graph(cfg)
-    field = _field(cfg)
-    if cfg.message_length < 1:
-        raise UsageError(f"--length must be >= 1, got {cfg.message_length}")
+    field = PrimeField(cfg.modulus)
     targets = _targets(cfg, graph)
     rng = random.Random(cfg.seed)
     state = init_system(graph, field, cfg.message_length, rng)
@@ -212,9 +206,7 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
 
 def cmd_audit(cfg: RunConfig) -> tuple[int, dict]:
     graph, name = _load_graph(cfg)
-    field = _field(cfg)
-    if cfg.message_length < 1:
-        raise UsageError(f"--length must be >= 1, got {cfg.message_length}")
+    field = PrimeField(cfg.modulus)
     pad_length = 0 if cfg.degrade_pads else cfg.message_length
     targets = None if cfg.target == "all" else _targets(cfg, graph)
     report = run_audit(
@@ -293,9 +285,6 @@ def main(argv=None) -> int:
             code, payload = cmd_audit(cfg)
         else:
             code, payload = cmd_capacity(cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -5,6 +5,7 @@ negative controls (dropped answers, unmasked selectors, zero-length pads)
 prove the failure paths produce witnesses instead of silently passing.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -41,9 +42,10 @@ from graphspir import (
 )
 from graphspir.auditor import (
     _equal_rows,
+    _query_counts,
     _reliability_witness,
-    _ServerViews,
     _table_difference_witness,
+    _view_counts,
     _ViewTable,
 )
 from graphspir.protocol import ServerStore, _answer_slot, _selector_key, gen_queries
@@ -414,7 +416,7 @@ class TestUserPrivacy:
 
     def test_tabulation_memory_bound(self):
         # the center holds three selector positions: ~13 MiB as tuple-keyed
-        # tables, ~2.4 MiB coded with at most two tables alive at once
+        # view tables; deciding on query counts keeps no view table alive
         tracemalloc.start()
         try:
             results = check_user_privacy(star_graph(4), F3, 1)
@@ -423,6 +425,37 @@ class TestUserPrivacy:
             tracemalloc.stop()
         assert all(c.passed for c in results)
         assert peak < 3 * 2**20
+
+
+UNMASKED_WITNESS_DIGESTS = {
+    "paw-q3": (
+        paw_graph(), F3, 1, None,
+        "5c3f5eeee6f489d90559c860865180ffffe4fbbc83e6249329ae9fee24078753",
+    ),
+    "star4-q3": (
+        star_graph(4), F3, 1, None,
+        "b3019e3faa234ae443b2039ff17678d4a8a24694e73935992645e0a7d8717755",
+    ),
+    "cycle4-L2-one-pad": (
+        cycle_graph(4), F2, 2, 1,
+        "a33a6760284bb41094afdf5c03b07a417517e12dbf26496ea1655ce1c63dda2e",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case", UNMASKED_WITNESS_DIGESTS.values(), ids=UNMASKED_WITNESS_DIGESTS.keys()
+)
+def test_unmasked_witnesses_are_pinned(case):
+    # failing configurations too large for the tuple-keyed reference: the
+    # serialized results, witnesses included, are pinned byte for byte
+    graph, field, length, pad_length, digest = case
+    results = check_user_privacy(
+        graph, field, length, pad_length=pad_length, mask_queries=False
+    )
+    assert any(not c.passed for c in results)
+    text = json.dumps([c.to_dict() for c in results], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestServerViewTable:
@@ -670,6 +703,9 @@ USER_ORACLE_CASES = {
     "path3-L2-one-pad": (path_graph(3), F2, 2, 1, True, 0),
     "path3-unmasked": (path_graph(3), F2, 1, None, False, 2),
     "cycle3-q3-unmasked": (cycle_graph(3), F3, 1, None, False, 4),
+    "paw": (paw_graph(), F2, 1, None, True, 0),
+    "paw-unmasked": (paw_graph(), F2, 1, None, False, 6),
+    "path3-no-pads": (path_graph(3), F2, 1, 0, True, 0),
 }
 
 
@@ -718,9 +754,9 @@ class TestSelectorKey:
     def test_shared_table_equals_fresh_tables(self, mask):
         graph = paw_graph()
         for server in range(1, graph.n_vertices + 1):
-            views = _ServerViews(graph, F2, 1, 1, server, mask)
             for key, targets in self._targets_by_key(graph, server).items():
-                shared = views.decode(views.counts(key))
+                queries = _query_counts(graph, F2, 1, server, key, mask)
+                shared = _view_counts(graph, F2, 1, 1, server, queries)
                 for target in targets:
                     fresh = _reference_server_view_table(graph, F2, 1, target, server, 1, mask)
                     assert shared == fresh.counts

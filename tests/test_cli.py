@@ -65,6 +65,14 @@ class TestRunCommand:
         assert code == EXIT_USAGE
         assert "prime" in err
 
+    @pytest.mark.parametrize("command", ["run", "audit"])
+    def test_length_must_be_positive(self, capsys, command):
+        code, _, err = run_cli(
+            capsys, [command, "--family", "path", "--n", "3", "--q", "5", "--length", "0"]
+        )
+        assert code == EXIT_USAGE
+        assert "--length" in err
+
     def test_missing_graph_source(self, capsys):
         code, out, err = run_cli(capsys, ["run", "--q", "5"])
         assert code == EXIT_USAGE
