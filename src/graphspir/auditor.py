@@ -1,7 +1,10 @@
 """Exhaustive, exact audits of the retrieval scheme.
 
-Every verdict here is decided by integer arithmetic over complete outcome
-enumerations — no sampling, no floating point, no tolerances. A joint
+Every verdict here is exact — no sampling, no floating point, no tolerances.
+Reliability and user privacy are decided by integer arithmetic over complete
+outcome enumerations. Database privacy is exhaustive over the mask
+coefficients and rank-based over messages and pads: an exact span test mod
+q, whose failures are confirmed on the complete enumeration. A joint
 distribution is a table mapping outcome tuples to integer counts;
 independence is checked by cross-multiplication (``count(a,b) * total ==
 count(a) * count(b)`` for every cell), and per-server views are compared as
@@ -30,7 +33,6 @@ beyond a configurable outcome count rather than silently auditing a subset.
 import functools
 import itertools
 import operator
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +44,7 @@ from .protocol import (
     _answer_slot,
     _place,
     _resolve_pad_length,
+    _round_answers,
     _selector_key,
     _signed_query,
     decode,
@@ -177,19 +180,28 @@ def iter_transcript_outcomes(graph, field, message_length, target, pad_length=No
     tuples: everything the user and the servers jointly produce once the
     messages, the pads and the per-slot mask coefficients are fixed. The
     lengths and the target are validated at the call, not at the first
-    outcome.
+    outcome. Every value the enumeration builds is a field element, so the
+    stores are placed (``_place``) and answered (``_round_answers``)
+    unchecked, and each coefficient vector's queries are built once.
     """
     pad_length = _resolve_pad_length(message_length, pad_length)
     graph._check_edge(target)
-    k = graph.n_edges
+    k, q = graph.n_edges, field.modulus
 
     def outcomes():
+        # answers repeat across outcomes; sharing one tuple per value keeps
+        # a listed enumeration small
+        seen = {}
+        coeff_space = list(itertools.product(field.iter_vectors(k), repeat=message_length))
+        query_space = [
+            tuple(gen_queries(graph, field, target, c) for c in coeffs) for coeffs in coeff_space
+        ]
         for messages in itertools.product(field.iter_vectors(message_length), repeat=k):
             for pads in itertools.product(field.iter_vectors(pad_length), repeat=k):
-                state = state_from_values(graph, field, message_length, messages, pads)
-                for coeffs in itertools.product(field.iter_vectors(k), repeat=message_length):
-                    transcript = run_round_with_coeffs(state, target, coeffs)
-                    yield (messages, pads, coeffs, transcript.queries, transcript.answers)
+                stores = _place(graph, messages, pads)
+                for coeffs, queries in zip(coeff_space, query_space):
+                    answers = _round_answers(stores, q, queries)
+                    yield (messages, pads, coeffs, queries, seen.setdefault(answers, answers))
 
     return outcomes()
 
@@ -253,10 +265,10 @@ def check_reliability(
     Decoding sums the kept answers, and an answer is linear in the held
     messages and pads (``protocol._answer_slot``), so each symbol enters the
     decoded sum with a weight: the sum of its kept holders' answers to the
-    unit vector at it. The decoded symbol is a message part fixed by the
-    coefficients and messages, plus the pads' weighted sum ``r`` mod q. The
-    pad vectors are grouped by ``r`` once per slot variant, keeping the
-    first vector of each residue in enumeration order, and a
+    unit vector at it (``_answer_rows``). The decoded symbol is a message
+    part fixed by the coefficients and messages, plus the pads' weighted sum
+    ``r`` mod q. The pad vectors are grouped by ``r`` once per slot variant,
+    keeping the first vector of each residue in enumeration order, and a
     ``(coefficients, messages)`` pair fails exactly when some residue
     differs from the one that decodes correctly. Each pair still counts all
     its pad vectors in ``enumerated``, and the witness is still the first
@@ -272,15 +284,9 @@ def check_reliability(
         graph._check_vertex(drop_server)
     q = field.modulus
     k = graph.n_edges
-    # per edge, every server's store of the one-slot unit vector at it,
-    # placed as the messages with no pads and as the pads with zero messages
-    edges, servers = range(1, k + 1), range(1, graph.n_vertices + 1)
-    units = [[(int(e == j),) for j in edges] for e in edges]
-    message_units = [_place(graph, w, [()] * k) for w in units]
-    kept = [(n, graph.incident_edges(n)) for n in servers if n != drop_server]
-    zero_rows = [(0,) * graph.degree(n) for n in servers]
-    pad_weights = _weights(kept, [_place(graph, [(0,)] * k, z) for z in units], zero_rows, q, {})
-    memo = {}
+    pad_rows, message_rows = _answer_rows(graph, q)
+    kept = [n - 1 for n in range(1, graph.n_vertices + 1) if n != drop_server]
+    pad_weights = [sum(column) for column in zip(*[pad_rows[i] for i in kept])]
 
     slot_variants = [True] * (pad_length > 0) + [False] * (pad_length < message_length)
 
@@ -297,8 +303,8 @@ def check_reliability(
                 residue = sum(w * p for w, p in zip(pad_weights, pads)) % q if pads else 0
                 residues.setdefault(residue, pads)
             for coeffs in field.iter_vectors(k):
-                queries = gen_queries(graph, field, target, coeffs)
-                weights = _weights(kept, message_units, queries, q, memo)
+                rows = message_rows(gen_queries(graph, field, target, coeffs))
+                weights = [sum(column) for column in zip(*[rows[i] for i in kept])]
                 for messages in field.iter_vectors(k):
                     enumerated += len(pad_space)
                     if failure:
@@ -333,20 +339,43 @@ def check_reliability(
     return results
 
 
-def _weights(kept, placements, rows, q, memo) -> list[int]:
-    """Per edge ``e``, the sum of its kept holders' first-slot answers: each
-    holder ``n`` answers its query ``rows[n - 1]`` with its store in
-    ``placements[e - 1]``. ``kept`` lists ``(n, held edges)``. A server's
-    answers read the coefficients only through its row, so ``memo`` keeps
-    them per ``(n, row)``."""
-    totals = [0] * len(placements)
-    for n, held in kept:
-        row = rows[n - 1]
-        if (n, row) not in memo:
-            memo[n, row] = [_answer_slot(placements[e - 1][n - 1], row, q, 0) for e in held]
-        for e, a in zip(held, memo[n, row]):
-            totals[e - 1] += a
-    return totals
+def _answer_rows(graph, q):
+    """The linear form of every server's answer in one slot, read off the
+    protocol's answer function (``_answer_slot``) on unit stores.
+
+    Returns ``(pad_rows, message_rows)``. ``pad_rows[n - 1][e - 1]`` is
+    server ``n``'s answer to the unit pad at ``e`` (zero messages) under a
+    zero query row. ``message_rows(queries)[n - 1][e - 1]`` is its answer to
+    the unit message at ``e`` (no pads) under its query row
+    ``queries[n - 1]``. A server that does not hold ``e`` answers 0. An
+    answer is linear in the messages and pads (``_answer_slot``), so server
+    ``n`` answers messages ``W`` and pads ``Z`` with
+    ``sum_e W_e·message_rows(queries)[n - 1][e - 1] + Z_e·pad_rows[n - 1][e - 1]``
+    mod q. A server's row reads the queries only through its own query row,
+    so ``message_rows`` keeps it per ``(server, query row)``.
+    """
+    k = graph.n_edges
+    held = [graph.incident_edges(n) for n in range(1, graph.n_vertices + 1)]
+    units = [[(int(e == j),) for j in range(1, k + 1)] for e in range(1, k + 1)]
+    pad_units = [_place(graph, [(0,)] * k, z) for z in units]
+    message_units = [_place(graph, w, [()] * k) for w in units]
+
+    def answer_row(placements, n, row):
+        answers = [0] * k
+        for e in held[n - 1]:
+            answers[e - 1] = _answer_slot(placements[e - 1][n - 1], row, q, 0)
+        return answers
+
+    memo = {}
+
+    def message_rows(queries):
+        for n, row in enumerate(queries, start=1):
+            if (n, row) not in memo:
+                memo[n, row] = answer_row(message_units, n, row)
+        return [memo[key] for key in enumerate(queries, start=1)]
+
+    pad_rows = [answer_row(pad_units, n, (0,) * len(edges)) for n, edges in enumerate(held, 1)]
+    return pad_rows, message_rows
 
 
 def _reliability_witness(graph, field, message_length, pad_length, target, drop_server, failure):
@@ -536,244 +565,130 @@ def check_database_privacy(
 ) -> list[CheckResult]:
     """Exact independence of undesired messages from the user's whole view.
 
-    For every target and every non-empty subset of the other messages, the
-    subset's contents are paired against everything the user sees or could
-    be handed out of band: all answers, all queries, the mask coefficients,
-    every pad except the probed subset's own, and every message except the
-    target and the subset. The verdict is the cross-multiplication test on
-    the full enumeration of ``iter_transcript_outcomes``; a failure comes
-    with the violating cell.
+    For every target θ and every non-empty subset S of the other messages,
+    the subset's contents ``W_S`` are paired against everything the user
+    sees or could be handed out of band: all answers, all queries, the mask
+    coefficients, every pad except the probed subset's own, and every
+    message except the target and the subset.
 
-    The enumeration is tabulated, not materialized. Each outcome is stored
-    as one int, the id of its ``(answers, coefficient index)`` view; its
-    messages and pads follow from its position in the
-    ``(messages, pads, coefficients)`` product. Queries are left out of the
-    key: for a fixed target they are a function of the mask coefficients
-    (``gen_queries``), so two outcomes agree on the full key exactly when
-    they agree without the queries, and the partition into cells, hence
-    every count, is unchanged. Each subset then lists the int-coded right
-    values of each left value and passes iff these rows are equal
-    (``_equal_rows``). Only a failing subset decodes its cells back to
-    tuple keys, queries included, for ``independence_witness``.
+    The verdict is a rank test over F_q, exhaustive over the mask
+    coefficients h of one slot. Proof: the slots are drawn independently,
+    and a slot's answers read only its own messages, pads and coefficients,
+    so ``W_S`` is independent of the view iff it is so in every slot. The
+    slots come in two variants, with a pad symbol and without one (when
+    pads are shorter than messages). Fix a slot and h. By the linearity of
+    ``_answer_slot``, the answers are ``M·W + P·Z``, where the columns of M
+    and P are the answers to unit messages and unit pads
+    (``_answer_rows``), and ``P = 0`` in a slot without a pad. Condition
+    on h, on the pads outside S and on the messages outside S and θ: they
+    are in the view, independent of ``W_S``, and every value has positive
+    probability; the queries are a function of h. Given ``W_S = w`` the
+    answers, less a known constant, are ``M_S·w + M_θ·W_θ + P_S·Z_S`` with
+    ``(W_θ, Z_S)`` uniform, so they are uniform on the coset
+    ``M_S·w + col[M_θ | P_S]``. Their law is free of w iff all these cosets
+    coincide, that is iff ``col(M_S) ⊆ col[M_θ | P_S]``. The span without
+    ``P_S`` lies in the span with it, so a slot without a pad decides
+    whenever there is one, and a padded slot otherwise.
+
+    A failing subset's witness is the first violating cell of its pair
+    table (``independence_witness``), tabulated from
+    ``iter_transcript_outcomes``, which is enumerated once per target with
+    a failing subset. ``enumerated`` is the size of that table,
+    ``state_space_size``, for every subset.
     """
     pad_length = _resolve_pad_length(message_length, pad_length)
     _ensure_budget(graph, field, message_length, pad_length, budget)
     targets = _resolve_targets(graph, targets)
-    k = graph.n_edges
+    k, q = graph.n_edges, field.modulus
+    pad_rows, message_rows = _answer_rows(graph, q)
+    pad_columns = list(zip(*pad_rows))
+    # the deciding slot variant: one without a pad if there is one
+    padded = pad_length == message_length
+    total = state_space_size(graph, field, message_length, pad_length)
     results = []
     for target in targets:
-        table = _ViewTable(graph, field, message_length, pad_length, target)
         others = [e for e in range(1, k + 1) if e != target]
-        for size in range(1, len(others) + 1):
-            for subset in itertools.combinations(others, size):
-                witness = table.witness(subset)
-                results.append(
-                    CheckResult(
-                        check="database-privacy",
-                        instance={"target": target, "subset": list(subset)},
-                        passed=witness is None,
-                        enumerated=table.total,
-                        witness=witness.to_dict() if witness else None,
+        subsets = [s for size in range(1, k) for s in itertools.combinations(others, size)]
+        leaks = set()
+        for coeffs in field.iter_vectors(k):
+            columns = list(zip(*message_rows(gen_queries(graph, field, target, coeffs))))
+            for subset in subsets:
+                span = [columns[target - 1]] + [pad_columns[e - 1] for e in subset if padded]
+                if not _spans(span, [columns[e - 1] for e in subset], q):
+                    leaks.add(subset)
+        outcomes = None
+        for subset in subsets:
+            witness = None
+            if subset in leaks:
+                if outcomes is None:
+                    outcomes = list(
+                        iter_transcript_outcomes(graph, field, message_length, target, pad_length)
                     )
+                witness = _subset_witness(outcomes, k, target, subset).to_dict()
+            results.append(
+                CheckResult(
+                    check="database-privacy",
+                    instance={"target": target, "subset": list(subset)},
+                    passed=witness is None,
+                    enumerated=total,
+                    witness=witness,
                 )
+            )
     return results
 
 
-class _ViewTable:
-    """One target's outcomes, one int each: the id of its view.
+def _spans(basis, vectors, q) -> bool:
+    """Whether every vector lies in the span of ``basis`` over F_q (q prime),
+    by Gaussian elimination mod q.
 
-    Outcomes come in the order of ``iter_transcript_outcomes``: messages
-    outermost, then pads, then coefficients. Message and pad vectors are
-    numbered in ``field.iter_vectors`` order, so the messages of the
-    ``i``-th block of coefficient outcomes are the vectors numbered by
-    ``message_rows[i // len(pad_rows)]``, and its pads those numbered by
-    ``pad_rows[i % len(pad_rows)]``.
-
-    Every answer symbol is a message part plus a pad part, the protocol's
-    answers to (messages, no pads) and to (no messages, pads)
-    (``_answer_slot``). The pad part is answered once per pad vector. A
-    server's message part reads the coefficients only through its own query
-    row, so it is answered once per message vector and distinct row. Both
-    are coded with one digit per ``(server, slot)``, most significant
-    first, in radix ``2q - 1``, where two reduced parts add without carry,
-    so one int addition gives the raw code of an outcome's answers. ``ids``
-    maps a raw code (times the number of coefficient vectors, plus the
-    coefficient index) to its view id; only a code not seen before is
-    reduced mod q per digit to look its view up.
+    ``rows`` holds ``(pivot, row)`` pairs: each row is 1 at its pivot and 0
+    at the pivots of the rows before it. Reducing a vector by the rows in
+    order leaves it 0 at every pivot, with its difference from the input in
+    the span. A nonzero combination of the rows is nonzero at the pivot of
+    the first row it uses, so a reduced vector is in the span iff it is 0,
+    and a nonzero reduced basis vector adds a row at its first nonzero entry.
     """
+    rows = []
 
-    def __init__(self, graph, field, message_length, pad_length, target):
-        k, q = graph.n_edges, field.modulus
-        self.edges = range(1, k + 1)
-        self.target = target
-        self.coeff_space = list(itertools.product(field.iter_vectors(k), repeat=message_length))
-        self.queries = [
-            tuple(gen_queries(graph, field, target, c) for c in coeffs)
-            for coeffs in self.coeff_space
-        ]
-        self.message_vectors = list(field.iter_vectors(message_length))
-        self.pad_vectors = list(field.iter_vectors(pad_length))
-        n_coeffs = len(self.coeff_space)
-        digits = [(n, t) for n in range(graph.n_vertices) for t in range(message_length)]
-        radices = [2 * q - 1] * len(digits)
-        scales = [radices[0] ** j for j in range(len(digits) - 1, -1, -1)]
-        # per digit, its distinct query rows; per coefficient index, the
-        # position of its row in each
-        query_rows = [{} for _ in digits]
-        row_picks = [
-            [query_rows[d].setdefault(queries[t][n], len(query_rows[d]))
-             for d, (n, t) in enumerate(digits)]
-            for queries in self.queries
-        ]
-        no_messages = [(0,) * message_length] * k
-        pad_codes = []
-        for pads in itertools.product(self.pad_vectors, repeat=k):
-            stores = _place(graph, no_messages, pads)
-            pad_codes.append(n_coeffs * sum(
-                scale * _answer_slot(stores[n], (0,) * len(stores[n].held), q, t)
-                for scale, (n, t) in zip(scales, digits)
-            ))
-        views = {}
+    def reduce(vector):
+        for pivot, row in rows:
+            c = vector[pivot]
+            if c:
+                vector = [(x - c * r) % q for x, r in zip(vector, row)]
+        return vector
 
-        def view_id(raw):
-            code, ci = divmod(raw, n_coeffs)
-            symbols = [d % q for d in _radix_digits(code, radices)]
-            answers = tuple(
-                tuple(symbols[j : j + message_length])
-                for j in range(0, len(symbols), message_length)
-            )
-            return views.setdefault((answers, ci), len(views))
-
-        ids = _Memo(view_id)
-        self.view_ids = array("L")
-        no_pads = [()] * k
-        for messages in itertools.product(self.message_vectors, repeat=k):
-            stores = _place(graph, messages, no_pads)
-            parts = [
-                [scale * _answer_slot(stores[n], row, q, t) for row in query_rows[d]]
-                for d, (scale, (n, t)) in enumerate(zip(scales, digits))
-            ]
-            message_codes = [
-                sum(map(operator.getitem, parts, picks)) * n_coeffs + ci
-                for ci, picks in enumerate(row_picks)
-            ]
-            for pad_code in pad_codes:
-                raw_codes = map(pad_code.__add__, message_codes)
-                self.view_ids.extend(map(ids.__getitem__, raw_codes))
-        self.views = list(views)
-        self.message_rows = list(itertools.product(range(len(self.message_vectors)), repeat=k))
-        self.pad_rows = list(itertools.product(range(len(self.pad_vectors)), repeat=k))
-        self.total = len(self.view_ids)
-
-    def _outside(self, subset):
-        """The messages outside the subset and the target, and the pads
-        outside the subset: the edges the right side reads."""
-        rest = [e for e in self.edges if e not in subset and e != self.target]
-        return rest, [e for e in self.edges if e not in subset]
-
-    def rows(self, subset) -> dict:
-        """The subset's pair table as rows: per left value, the subset's
-        messages coded as one int, the list of its outcomes' right values.
-
-        A right value is one int whose mixed-radix digits are, most
-        significant first: the messages outside the subset and the target,
-        the pads outside the subset, and the view id.
-        """
-        rest, pad_rest = self._outside(subset)
-        n_msg, n_pad, n_views = len(self.message_vectors), len(self.pad_vectors), len(self.views)
-        rest_scale = n_pad ** len(pad_rest) * n_views
-        pad_codes = [_radix_code(row, pad_rest, n_pad) * n_views for row in self.pad_rows]
-        n_coeffs = len(self.coeff_space)
-        rows = {}
-        pos = 0
-        for row in self.message_rows:
-            cells = rows.setdefault(_radix_code(row, subset, n_msg), [])
-            rest_code = _radix_code(row, rest, n_msg) * rest_scale
-            for pad_code in pad_codes:
-                block = self.view_ids[pos : pos + n_coeffs]
-                pos += n_coeffs
-                cells.extend(map((rest_code + pad_code).__add__, block))
-        return rows
-
-    def witness(self, subset):
-        """``independence_witness`` of the subset's pair table, or None.
-
-        The verdict is ``_equal_rows`` of ``rows(subset)``: the outcomes
-        enumerate the full product of message vectors, so every left value
-        occurs equally often. Only a failing subset counts and decodes its
-        cells to the tuple keys of ``independence_witness``.
-        """
-        rows = self.rows(subset)
-        if _equal_rows(rows.values()):
-            return None
-        n_msg, n_pad = len(self.message_vectors), len(self.pad_vectors)
-        rest, pad_rest = self._outside(subset)
-        left_radices = [n_msg] * len(subset)
-        right_radices = [n_msg] * len(rest) + [n_pad] * len(pad_rest) + [len(self.views)]
-        pairs = {}
-        for left_code, cells in rows.items():
-            left = tuple(self.message_vectors[d] for d in _radix_digits(left_code, left_radices))
-            for right_code, count in Counter(cells).items():
-                *digits, view_id = _radix_digits(right_code, right_radices)
-                answers, ci = self.views[view_id]
-                right = (
-                    answers,
-                    self.queries[ci],
-                    tuple(self.pad_vectors[d] for d in digits[len(rest) :]),
-                    tuple(self.message_vectors[d] for d in digits[: len(rest)]),
-                    self.coeff_space[ci],
-                )
-                pairs[(left, right)] = count
-        witness = independence_witness(ExactDistribution(pairs, self.total))
-        if witness is None:
-            raise AssertionError("the rows of the table differ but its cells pass")
-        return witness
+    for vector in basis:
+        vector = reduce(vector)
+        pivot = next((i for i, x in enumerate(vector) if x), None)
+        if pivot is not None:
+            inverse = pow(vector[pivot], -1, q)
+            rows.append((pivot, [x * inverse % q for x in vector]))
+    return not any(any(reduce(vector)) for vector in vectors)
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``fill(key)``."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
-def _equal_rows(rows) -> bool:
-    """The cross-multiplication test of a pair table whose left values all
-    occur equally often: whether every row, the list of right values of one
-    left value, holds the same multiset.
-
-    Let the table have ``m`` left values, each of count ``total / m``, and
-    let ``c(l, r)`` be a cell's count and ``cr`` the count of ``r``. The
-    test asks ``c(l, r)·total == (total / m)·cr``, that is
-    ``c(l, r) == cr / m``, for every ``l`` and every ``r`` of the right
-    support. If it holds, ``c(l, r)`` does not depend on ``l``, so the rows
-    are equal. If the rows are equal, ``cr = m·c(l, r)`` for every ``l``,
-    so it holds. Rows are compared sorted.
-    """
-    first, *others = (sorted(row) for row in rows)
-    return all(row == first for row in others)
-
-
-def _radix_code(row, edges, radix) -> int:
-    """The digits ``row[e - 1]`` for ``e`` in ``edges``, most significant
-    first, as one int."""
-    code = 0
-    for e in edges:
-        code = code * radix + row[e - 1]
-    return code
-
-
-def _radix_digits(code, radices) -> list[int]:
-    """The mixed-radix digits of ``code``, most significant first."""
-    digits = [0] * len(radices)
-    for j in range(len(radices) - 1, -1, -1):
-        code, digits[j] = divmod(code, radices[j])
-    return digits
+def _subset_witness(outcomes, k, target, subset) -> IndependenceWitness:
+    """``independence_witness`` of the pair table of a leaking subset: its
+    messages against the rest of the view, over every outcome."""
+    rest = [e - 1 for e in range(1, k + 1) if e not in subset]
+    rest_messages = [i for i in rest if i != target - 1]
+    left = [e - 1 for e in subset]
+    pairs = Counter(
+        (
+            tuple([messages[i] for i in left]),
+            (
+                answers,
+                queries,
+                tuple([pads[i] for i in rest]),
+                tuple([messages[i] for i in rest_messages]),
+                coeffs,
+            ),
+        )
+        for messages, pads, coeffs, queries, answers in outcomes
+    )
+    witness = independence_witness(ExactDistribution(dict(pairs), len(outcomes)))
+    if witness is None:
+        raise AssertionError("the rank test finds a leak but the enumeration does not")
+    return witness
 
 
 # ---------------------------------------------------------------------------

@@ -200,16 +200,15 @@ def _answer_slot(store: ServerStore, query, q: int, slot: int) -> int:
     return total % q
 
 
-def _round_answers(state: SystemState, queries_per_slot) -> tuple[tuple[int, ...], ...]:
+def _round_answers(stores, q: int, queries_per_slot) -> tuple[tuple[int, ...], ...]:
     """Every server's answer to per-slot queries, unchecked: one
-    ``message_length``-symbol answer per server."""
-    q = state.field.modulus
+    ``message_length``-symbol answer per store."""
     return tuple(
         tuple([
             _answer_slot(store, queries[store.server - 1], q, t)
             for t, queries in enumerate(queries_per_slot)
         ])
-        for store in state.stores
+        for store in stores
     )
 
 
@@ -268,7 +267,7 @@ def run_round_with_coeffs(state: SystemState, target: int, coeffs_per_slot) -> R
         gen_queries(graph, field, target, coeffs) for coeffs in coeffs_per_slot
     )
     q = field.modulus
-    answers = _round_answers(state, queries_per_slot)
+    answers = _round_answers(state.stores, q, queries_per_slot)
     return RoundTranscript(
         target=target,
         coefficients=coeffs_per_slot,

@@ -41,12 +41,11 @@ from graphspir import (
     state_space_size,
 )
 from graphspir.auditor import (
-    _equal_rows,
     _query_counts,
     _reliability_witness,
+    _spans,
     _table_difference_witness,
     _view_counts,
-    _ViewTable,
 )
 from graphspir.protocol import ServerStore, _answer_slot, _selector_key, gen_queries
 
@@ -118,57 +117,35 @@ class TestIndependenceVerdicts:
         }
 
 
-class TestEqualRows:
-    """``_equal_rows`` is the cross-multiplication test of
-    ``independence_witness`` on every table whose left values occur equally
-    often."""
+class TestSpans:
+    """``_spans`` against membership decided by listing every linear
+    combination of the basis."""
 
     @staticmethod
-    def _independent(rows, total):
-        cells = {(left, r): c for left, row in rows.items() for r, c in Counter(row).items()}
-        return independence_witness(ExactDistribution(cells, total)) is None
+    def _brute_force(basis, vectors, q):
+        dim = len(vectors[0])
+        span = {
+            tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) % q for i in range(dim))
+            for coeffs in itertools.product(range(q), repeat=len(basis))
+        }
+        return all(tuple(v) in span for v in vectors)
 
-    def test_matches_is_independent_on_random_tables(self):
-        rng = random.Random(7)
+    def test_matches_brute_force(self):
+        rng = random.Random(11)
         verdicts = Counter()
-        for _ in range(400):
-            width = rng.randint(1, 6)
-            rows = {
-                left: [rng.randrange(3) for _ in range(width)]
-                for left in range(rng.randint(1, 3))
-            }
-            if rng.random() < 0.4:  # one multiset in every row, shuffled
-                rows = {left: rng.sample(rows[0], width) for left in rows}
-            verdict = _equal_rows(rows.values())
-            assert verdict == self._independent(rows, width * len(rows))
-            verdicts[verdict] += 1
-        assert verdicts[True] > 100 and verdicts[False] > 100
-
-    def test_reads_multiplicities(self):
-        # every row holds every right value, but the counts differ
-        assert not _equal_rows([[0, 0, 1], [0, 1, 1]])
-        assert _equal_rows([[0, 1, 1], [1, 0, 1]])
-        # a right value missing from one row
-        assert not _equal_rows([[0, 1], [1, 1]])
-
-    @pytest.mark.parametrize(
-        "graph, field, failing",
-        [(path_graph(3), F2, 2), (cycle_graph(3), F3, 9)],
-        ids=["path3-no-pads", "cycle3-q3-no-pads"],
-    )
-    def test_matches_is_independent_on_leaky_tables(self, graph, field, failing):
-        k = graph.n_edges
-        verdicts = []
-        for target in range(1, k + 1):
-            table = _ViewTable(graph, field, 1, 0, target)
-            others = [e for e in range(1, k + 1) if e != target]
-            for size in range(1, k):
-                for subset in itertools.combinations(others, size):
-                    rows = table.rows(subset)
-                    verdict = _equal_rows(rows.values())
-                    assert verdict == self._independent(rows, table.total)
-                    verdicts.append(verdict)
-        assert verdicts.count(False) == failing
+        for q in (2, 3, 5):
+            for _ in range(300):
+                dim = rng.randint(1, 4)
+                basis = [[rng.randrange(q) for _ in range(dim)] for _ in range(rng.randint(0, 3))]
+                vectors = [[rng.randrange(q) for _ in range(dim)] for _ in range(rng.randint(1, 2))]
+                if basis and rng.random() < 0.5:  # a combination of the basis
+                    vectors[0] = [
+                        sum(rng.randrange(q) * b[i] for b in basis) % q for i in range(dim)
+                    ]
+                verdict = _spans(basis, vectors, q)
+                assert verdict == self._brute_force(basis, vectors, q), (q, basis, vectors)
+                verdicts[q, verdict] += 1
+        assert all(verdicts[q, v] >= 100 for q in (2, 3, 5) for v in (True, False)), verdicts
 
 
 class TestStateSpace:
@@ -225,6 +202,30 @@ class TestEnumerateTranscripts:
         a = list(iter_transcript_outcomes(path_graph(3), F3, 1, 2))
         b = list(iter_transcript_outcomes(path_graph(3), F3, 1, 2))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "graph, field, length, pad_length",
+        [(path_graph(3), F2, 2, 1), (cycle_graph(3), F3, 1, None)],
+        ids=["path3-L2-one-pad", "cycle3-q3"],
+    )
+    def test_matches_checked_replay(self, graph, field, length, pad_length):
+        """The outcomes, in order, equal a replay of every realization
+        through the checked entry points."""
+        k = graph.n_edges
+        pad_space = field.iter_vectors(length if pad_length is None else pad_length)
+        realizations = list(itertools.product(
+            itertools.product(field.iter_vectors(length), repeat=k),
+            itertools.product(pad_space, repeat=k),
+            itertools.product(field.iter_vectors(k), repeat=length),
+        ))
+        for target in range(1, k + 1):
+            expected = []
+            for messages, pads, coeffs in realizations:
+                state = protocol.state_from_values(graph, field, length, messages, pads)
+                transcript = protocol.run_round_with_coeffs(state, target, coeffs)
+                expected.append((messages, pads, coeffs, transcript.queries, transcript.answers))
+            outcomes = iter_transcript_outcomes(graph, field, length, target, pad_length)
+            assert list(outcomes) == expected
 
 
 class TestReliability:
@@ -617,6 +618,8 @@ ORACLE_CASES = {
     "path3-no-pads": (path_graph(3), F2, 1, 0, 2),
     "path3-L2-one-pad": (path_graph(3), F2, 2, 1, 2),
     "cycle3-q3-no-pads": (cycle_graph(3), F3, 1, 0, 9),
+    "cycle4-no-pads": (cycle_graph(4), F2, 1, 0, 28),
+    "star4-no-pads": (star_graph(4), F2, 1, 0, 9),
 }
 
 
@@ -907,18 +910,39 @@ def _answer_with_unsigned_pads(store, query, q, slot):
     return total % q
 
 
-def test_checks_audit_the_shipped_answer_function(monkeypatch, capsys):
-    """A broken answer function, bound wherever the package binds the
-    shipped one, makes the audit fail: the checks hold no copy of it."""
+def _answer_without_pads(store, query, q, slot):
+    """The protocol's answer with the pads left out: a broken scheme whose
+    answers expose the masked messages."""
+    return sum(c * message[slot] for c, message in zip(query, store.messages)) % q
+
+
+def _patch_answer_function(monkeypatch, answer):
+    """Bind ``answer`` wherever the package binds the shipped answer
+    function."""
     shipped = protocol._answer_slot
     patched = []
     for name, module in list(sys.modules.items()):
         in_package = name.partition(".")[0] == "graphspir"
         if in_package and getattr(module, "_answer_slot", None) is shipped:
-            monkeypatch.setattr(module, "_answer_slot", _answer_with_unsigned_pads)
+            monkeypatch.setattr(module, "_answer_slot", answer)
             patched.append(name)
     assert "graphspir.protocol" in patched
+
+
+def test_checks_audit_the_shipped_answer_function(monkeypatch, capsys):
+    """A broken answer function, bound wherever the package binds the
+    shipped one, makes the audit fail: the checks hold no copy of it."""
+    _patch_answer_function(monkeypatch, _answer_with_unsigned_pads)
     results = check_reliability(path_graph(3), F3, 1)
     assert any(not c.passed and c.witness is not None for c in results)
     assert cli.main(["audit", "--family", "path", "--n", "3", "--q", "3"]) == 2
     assert not json.loads(capsys.readouterr().out)["all_passed"]
+
+
+def test_database_privacy_reads_the_shipped_answer_function(monkeypatch):
+    """Answers that leave out the pads leak, so database privacy fails with a
+    witness: the rank test takes its pad columns from the answer function,
+    not from the graph's incidence."""
+    _patch_answer_function(monkeypatch, _answer_without_pads)
+    results = check_database_privacy(path_graph(3), F3, 1)
+    assert any(not c.passed and c.witness is not None for c in results)

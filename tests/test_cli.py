@@ -242,6 +242,14 @@ STDOUT_DIGESTS = {
         ["audit", "--family", "path", "--n", "3", "--q", "2", "--length", "2"],
         "1caf4e62e1df5c794f9425a9270c51cbe84c7e912426c6fac79bc979f0a69986",
     ),
+    "cycle4-degraded": (
+        ["audit", "--family", "cycle", "--n", "4", "--q", "2", "--degrade-pads"],
+        "2003f9755f1f7f8be46db64d550f9cde17fc85d1e6fd5eb27b6d67d9f69d0b29",
+    ),
+    "star4-degraded": (
+        ["audit", "--family", "star", "--n", "4", "--q", "2", "--degrade-pads"],
+        "90688b72dc8284d62108f1403c6cdf61b556b548a47b056e49555e853c97f196",
+    ),
     "run-path3-q5": (
         ["run", "--family", "path", "--n", "3", "--q", "5", "--seed", "7"],
         "b09441cceadbe675f2dc3488c654a3e613c91d86a1b0a7fb665f11f27487edca",
