@@ -1,10 +1,12 @@
 """Exhaustive, exact audits of the retrieval scheme.
 
 Every verdict here is exact — no sampling, no floating point, no tolerances.
-Reliability and user privacy are decided by integer arithmetic over complete
-outcome enumerations. Database privacy is exhaustive over the mask
-coefficients and rank-based over messages and pads: an exact span test mod
-q, whose failures are confirmed on the complete enumeration. A joint
+Reliability and database privacy are exhaustive over the mask coefficients
+of one slot and algebraic over messages and pads. Reliability reads the
+decoding defect of each mask vector and walks the messages only where it is
+nonzero or the pads can shift the sum. Database privacy is an exact span
+test mod q, whose failures are confirmed on the complete outcome
+enumeration. User privacy is decided on exact query counts. A joint
 distribution is a table mapping outcome tuples to integer counts;
 independence is checked by cross-multiplication (``count(a,b) * total ==
 count(a) * count(b)`` for every cell), and per-server views are compared as
@@ -43,12 +45,12 @@ from .protocol import (
     ServerStore,
     _answer_slot,
     _place,
+    _queries,
     _resolve_pad_length,
     _round_answers,
     _selector_key,
     _signed_query,
     decode,
-    gen_queries,
     run_round_with_coeffs,
     state_from_values,
 )
@@ -181,8 +183,9 @@ def iter_transcript_outcomes(graph, field, message_length, target, pad_length=No
     messages, the pads and the per-slot mask coefficients are fixed. The
     lengths and the target are validated at the call, not at the first
     outcome. Every value the enumeration builds is a field element, so the
-    stores are placed (``_place``) and answered (``_round_answers``)
-    unchecked, and each coefficient vector's queries are built once.
+    queries are built (``_queries``), the stores placed (``_place``) and
+    answered (``_round_answers``) unchecked, and each coefficient vector's
+    queries are built once.
     """
     pad_length = _resolve_pad_length(message_length, pad_length)
     graph._check_edge(target)
@@ -194,7 +197,7 @@ def iter_transcript_outcomes(graph, field, message_length, target, pad_length=No
         seen = {}
         coeff_space = list(itertools.product(field.iter_vectors(k), repeat=message_length))
         query_space = [
-            tuple(gen_queries(graph, field, target, c) for c in coeffs) for coeffs in coeff_space
+            tuple(_queries(graph, q, target, c) for c in coeffs) for coeffs in coeff_space
         ]
         for messages in itertools.product(field.iter_vectors(message_length), repeat=k):
             for pads in itertools.product(field.iter_vectors(pad_length), repeat=k):
@@ -260,20 +263,27 @@ def check_reliability(
     joint space is the product of identical single-slot spaces (one variant
     with a pad symbol, one without when pads are shorter than messages): a
     decode error exists in the joint space exactly when one exists in a slot
-    space. Each distinct slot space is enumerated in full.
+    space. Each slot variant is decided over every mask vector h.
 
     Decoding sums the kept answers, and an answer is linear in the held
     messages and pads (``protocol._answer_slot``), so each symbol enters the
     decoded sum with a weight: the sum of its kept holders' answers to the
-    unit vector at it (``_answer_rows``). The decoded symbol is a message
-    part fixed by the coefficients and messages, plus the pads' weighted sum
-    ``r`` mod q. The pad vectors are grouped by ``r`` once per slot variant,
-    keeping the first vector of each residue in enumeration order, and a
-    ``(coefficients, messages)`` pair fails exactly when some residue
-    differs from the one that decodes correctly. Each pair still counts all
-    its pad vectors in ``enumerated``, and the witness is still the first
-    failing outcome: within a pair, the first failing pad vector is the
-    first of the first failing residue.
+    unit vector at it (``_answer_rows``). The decoded symbol is the target
+    symbol less ``defect(h)·W``, plus ``r`` mod q, where ``defect(h)`` is
+    the unit vector at the target less the message weights under h's
+    queries, and ``r`` is the pads' weighted sum. The pad vectors are
+    grouped by ``r`` once per check and slot variant, keeping the first
+    vector of each residue in enumeration order. A ``(h, messages)`` pair
+    fails exactly when some residue differs from ``defect(h)·W``. The zero
+    pad vector comes first and reaches residue 0, so when every pad reaches
+    0 and ``defect(h)`` is 0, no pair of h fails and its messages are never
+    walked; otherwise they are walked in order up to the first failure. The
+    witness is therefore the first failing outcome of the full enumeration:
+    within a pair, the first failing pad vector is the first of the first
+    failing residue.
+    ``enumerated`` counts the outcomes of every slot variant visited,
+    ``q^(2K)`` pairs times the variant's pad vectors, as a full enumeration
+    that stops after the first failing variant would.
 
     ``drop_server`` excludes one server's answer from decoding; it exists as
     a negative control and makes the check fail with a witness.
@@ -288,35 +298,28 @@ def check_reliability(
     kept = [n - 1 for n in range(1, graph.n_vertices + 1) if n != drop_server]
     pad_weights = [sum(column) for column in zip(*[pad_rows[i] for i in kept])]
 
-    slot_variants = [True] * (pad_length > 0) + [False] * (pad_length < message_length)
+    # per slot variant: its pad vector count, and each pad residue with the
+    # first pad vector that reaches it
+    variants = []
+    for padded in [True] * (pad_length > 0) + [False] * (pad_length < message_length):
+        residues = {}
+        pad_space = field.iter_vectors(k) if padded else [None]
+        for pads in pad_space:
+            residue = sum(map(operator.mul, pad_weights, pads)) % q if pads else 0
+            residues.setdefault(residue, pads)
+        variants.append((padded, q**k if padded else 1, residues))
 
     results = []
     for target in _resolve_targets(graph, targets):
         failure = None
         enumerated = 0
-        for padded in slot_variants:
-            pad_space = list(field.iter_vectors(k)) if padded else [None]
-            # the pads enter only through their weighted sum: each residue,
-            # with the first pad vector that reaches it
-            residues = {}
-            for pads in pad_space:
-                residue = sum(w * p for w, p in zip(pad_weights, pads)) % q if pads else 0
-                residues.setdefault(residue, pads)
-            for coeffs in field.iter_vectors(k):
-                rows = message_rows(gen_queries(graph, field, target, coeffs))
-                weights = [sum(column) for column in zip(*[rows[i] for i in kept])]
-                for messages in field.iter_vectors(k):
-                    enumerated += len(pad_space)
-                    if failure:
-                        continue
-                    # the pads that decode correctly are those of residue ``need``
-                    dot_sum = sum(map(operator.mul, weights, messages))
-                    need = (messages[target - 1] - dot_sum) % q
-                    for residue, pads in residues.items():
-                        if residue != need:
-                            failure = (coeffs, messages, pads, padded)
-                            break
+        for padded, pad_count, residues in variants:
+            enumerated += q ** (2 * k) * pad_count
+            failure = _first_decode_failure(
+                field, target, _mask_rows(graph, field, target, message_rows), kept, residues
+            )
             if failure:
+                failure += (padded,)
                 break
         witness = None
         if failure:
@@ -337,6 +340,35 @@ def check_reliability(
             )
         )
     return results
+
+
+def _first_decode_failure(field, target, mask_rows, kept, residues):
+    """The first ``(coefficients, messages, pads)`` of one slot variant, in
+    enumeration order, whose kept answers do not sum to the target symbol,
+    or None (``check_reliability``)."""
+    q = field.modulus
+    for coeffs, rows in mask_rows:
+        weights = [sum(column) for column in zip(*[rows[i] for i in kept])]
+        defect = [(int(e == target - 1) - w) % q for e, w in enumerate(weights)]
+        if len(residues) == 1 and not any(defect):
+            continue
+        for messages in field.iter_vectors(len(weights)):
+            # the pads that decode correctly are those of residue ``need``
+            need = sum(map(operator.mul, defect, messages)) % q
+            for residue, pads in residues.items():
+                if residue != need:
+                    return coeffs, messages, pads
+    return None
+
+
+def _mask_rows(graph, field, target, message_rows):
+    """Every mask vector h of one slot, in enumeration order, with the
+    servers' answer rows to unit messages under its queries
+    (``_answer_rows``). Each h comes from ``field.iter_vectors``, so its
+    queries are built unchecked (``protocol._queries``)."""
+    q = field.modulus
+    for coeffs in field.iter_vectors(graph.n_edges):
+        yield coeffs, message_rows(_queries(graph, q, target, coeffs))
 
 
 def _answer_rows(graph, q):
@@ -590,6 +622,16 @@ def check_database_privacy(
     ``P_S`` lies in the span with it, so a slot without a pad decides
     whenever there is one, and a padded slot otherwise.
 
+    Each h is first decided per edge: edge e ≠ θ passes at h iff
+    ``M_e ∈ span(M_θ, P_e)``, with ``P_e`` left out in a slot without a
+    pad. The test is memoized on its column tuple. For e in S,
+    ``span(M_θ, P_e) ⊆ span(M_θ, P_S)``, so if every edge passes at h,
+    every subset passes at h, and no subset is tested. Otherwise only the
+    subsets that hold a failing edge and do not already leak are tested,
+    since a subset of passing edges passes. Without a pad the span is
+    ``span(M_θ)`` for every subset, so a subset leaks at h exactly when it
+    holds a failing edge, and none is tested.
+
     A failing subset's witness is the first violating cell of its pair
     table (``independence_witness``), tabulated from
     ``iter_transcript_outcomes``, which is enumerated once per target with
@@ -605,16 +647,30 @@ def check_database_privacy(
     # the deciding slot variant: one without a pad if there is one
     padded = pad_length == message_length
     total = state_space_size(graph, field, message_length, pad_length)
+    edge_spans = {}
     results = []
     for target in targets:
         others = [e for e in range(1, k + 1) if e != target]
         subsets = [s for size in range(1, k) for s in itertools.combinations(others, size)]
         leaks = set()
-        for coeffs in field.iter_vectors(k):
-            columns = list(zip(*message_rows(gen_queries(graph, field, target, coeffs))))
+        for _, rows in _mask_rows(graph, field, target, message_rows):
+            columns = list(zip(*rows))
+            theta = columns[target - 1]
+            failing = set()
+            for e in others:
+                basis = (theta, pad_columns[e - 1]) if padded else (theta,)
+                key = (basis, columns[e - 1])
+                if key not in edge_spans:
+                    edge_spans[key] = _spans(basis, [columns[e - 1]], q)
+                if not edge_spans[key]:
+                    failing.add(e)
+            if not failing:
+                continue
             for subset in subsets:
-                span = [columns[target - 1]] + [pad_columns[e - 1] for e in subset if padded]
-                if not _spans(span, [columns[e - 1] for e in subset], q):
+                if subset in leaks or failing.isdisjoint(subset):
+                    continue
+                span = [theta, *(pad_columns[e - 1] for e in subset)]
+                if not padded or not _spans(span, [columns[e - 1] for e in subset], q):
                     leaks.add(subset)
         outcomes = None
         for subset in subsets:

@@ -137,9 +137,10 @@ def init_system(
 def _selector_key(graph: Graph, server: int, target: int):
     """What a server's query depends on of the target: the position of the
     selector among its held edges, or None if it is not the target's larger
-    holder (``_signed_query`` reads nothing else of the target)."""
-    _, larger = graph.message_holders(target)
-    return graph.incident_edges(server).index(target) if server == larger else None
+    holder (``_signed_query`` reads nothing else of the target). Unchecked:
+    ``server`` and ``target`` must be a vertex and an edge of ``graph``."""
+    _, larger = graph.edges[target - 1]
+    return graph._incidence[server - 1][0].index(target) if server == larger else None
 
 
 def _signed_query(signs, coeffs_held, position, q: int):
@@ -153,6 +154,19 @@ def _signed_query(signs, coeffs_held, position, q: int):
     return tuple(query)
 
 
+def _queries(graph: Graph, q: int, target: int, coeffs) -> tuple:
+    """Unchecked core of ``gen_queries``: ``target`` must be an edge of
+    ``graph`` and ``coeffs`` one field element per message."""
+    _, larger = graph.edges[target - 1]
+    position = _selector_key(graph, larger, target)
+    return tuple(
+        _signed_query(
+            signs, [coeffs[k - 1] for k in held], position if server == larger else None, q
+        )
+        for server, (held, signs) in enumerate(graph._incidence, start=1)
+    )
+
+
 def gen_queries(graph: Graph, field: PrimeField, target: int, coeffs) -> tuple:
     """All servers' queries for one symbol slot.
 
@@ -160,20 +174,13 @@ def gen_queries(graph: Graph, field: PrimeField, target: int, coeffs) -> tuple:
     message. Each server only ever sees the coefficients of its own held
     messages, signed, plus the selector increment at one holder.
     """
-    _, larger = graph.message_holders(target)
-    position = _selector_key(graph, larger, target)
+    graph._check_edge(target)
     coeffs = tuple(coeffs)
     if len(coeffs) != graph.n_edges:
         raise ValueError(f"expected {graph.n_edges} coefficients, got {len(coeffs)}")
     for c in coeffs:
         field.check(c)
-    return tuple(
-        _signed_query(
-            signs, [coeffs[k - 1] for k in held], position if server == larger else None,
-            field.modulus,
-        )
-        for server, (held, signs) in enumerate(graph._incidence, start=1)
-    )
+    return _queries(graph, field.modulus, target, coeffs)
 
 
 def _answer_slot(store: ServerStore, query, q: int, slot: int) -> int:

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import graphspir.auditor as auditor
 import graphspir.cli as cli
 import graphspir.protocol as protocol
 from formula_oracles import paw_graph
@@ -364,6 +365,16 @@ RELIABILITY_ORACLE_CASES = {
         f"cycle3-q3-drop{n}": (cycle_graph(3), F3, 1, None, n, 3)
         for n in (1, 2, 3)
     },
+    # the decoding defect is zero for some mask vectors and nonzero for others
+    **{
+        f"path3-L2-one-pad-drop{n}": (path_graph(3), F2, 2, 1, n, 2)
+        for n in (1, 2, 3)
+    },
+    **{
+        f"path3-no-pads-drop{n}": (path_graph(3), F2, 1, 0, n, 2)
+        for n in (1, 2, 3)
+    },
+    "complete4-drop1": (complete_graph(4), F2, 1, None, 1, 6),
 }
 
 
@@ -620,6 +631,9 @@ ORACLE_CASES = {
     "cycle3-q3-no-pads": (cycle_graph(3), F3, 1, 0, 9),
     "cycle4-no-pads": (cycle_graph(4), F2, 1, 0, 28),
     "star4-no-pads": (star_graph(4), F2, 1, 0, 9),
+    # some mask vectors pass the per-edge test and some fail it
+    "paw-no-pads": (paw_graph(), F2, 1, 0, 28),
+    "complete4-no-pads": (complete_graph(4), F2, 1, 0, 186),
 }
 
 
@@ -633,6 +647,47 @@ class TestDatabasePrivacyOracle:
         results = check_database_privacy(graph, field, length, pad_length=pad_length)
         assert results == expected
         assert sum(not c.passed for c in results) == failing
+
+
+class TestWorkCount:
+    """A passing target costs O(q^K) work: counted calls, not wall time."""
+
+    def test_database_privacy_tests_each_edge_not_each_subset(self, monkeypatch):
+        calls = []
+        spans = auditor._spans
+
+        def counted(basis, vectors, q):
+            calls.append(len(vectors))
+            return spans(basis, vectors, q)
+
+        monkeypatch.setattr(auditor, "_spans", counted)
+        q, k = 2, 5
+        results = check_database_privacy(cycle_graph(k), F2, 1, targets=[1])
+        assert len(results) == 2 ** (k - 1) - 1 and all(c.passed for c in results)
+        # a test per subset and mask vector would be q^K·(2^(K-1) - 1) = 480 calls
+        assert 0 < len(calls) <= q**k * (k - 1)
+        assert set(calls) == {1}
+
+    def test_passing_reliability_never_walks_the_messages(self, monkeypatch):
+        lengths = []
+        iter_vectors = PrimeField.iter_vectors
+
+        def counted(field, length):
+            lengths.append(length)
+            return iter_vectors(field, length)
+
+        monkeypatch.setattr(PrimeField, "iter_vectors", counted)
+        k = 5
+        results = check_reliability(cycle_graph(k), F2, 1)
+        assert len(results) == k and all(c.passed for c in results)
+        # one pad space per check and one mask-vector loop per target; a
+        # message walk would add a call
+        assert lengths == [k] * (1 + k)
+
+        lengths.clear()
+        results = check_reliability(cycle_graph(k), F2, 1, drop_server=1, targets=[1])
+        assert not results[0].passed
+        assert len(lengths) > 2
 
 
 def _reference_server_view_table(
