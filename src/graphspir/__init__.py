@@ -12,13 +12,10 @@ from .auditor import (
     BudgetExceededError,
     CheckResult,
     ExactDistribution,
-    IndependenceWitness,
     check_database_privacy,
     check_reliability,
     check_user_privacy,
-    independence_witness,
     iter_transcript_outcomes,
-    mutual_information_terms,
     run_audit,
     server_view_table,
     state_space_size,

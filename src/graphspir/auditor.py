@@ -4,13 +4,12 @@ Every verdict here is exact — no sampling, no floating point, no tolerances.
 Reliability and database privacy are exhaustive over the mask coefficients
 of one slot and algebraic over messages and pads. Reliability reads the
 decoding defect of each mask vector and walks the messages only where it is
-nonzero or the pads can shift the sum. Database privacy is an exact span
-test mod q, whose failures are confirmed on the complete outcome
-enumeration. User privacy is decided on exact query counts. A joint
-distribution is a table mapping outcome tuples to integer counts;
-independence is checked by cross-multiplication (``count(a,b) * total ==
-count(a) * count(b)`` for every cell), and per-server views are compared as
-count tables for exact equality.
+nonzero or the pads can shift the sum. Database privacy is an exact rank
+test mod q; a failure's witness is the first cell of the joint count table
+that fails cross-multiplication (``count(a,b) * total == count(a) *
+count(b)``), computed from the same ranks without listing an outcome. User
+privacy is decided on exact query counts, and per-server views are compared
+as count tables for exact equality.
 
 Audited constraints:
 
@@ -37,7 +36,6 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .field import PrimeField
 from .graph import Graph
@@ -87,72 +85,6 @@ class ExactDistribution:
             raise ValueError("total does not match the sum of counts")
         if any(c <= 0 for c in self.counts.values()):
             raise ValueError("counts must be positive")
-
-
-@dataclass(frozen=True)
-class IndependenceWitness:
-    """A cell where the joint counts fail the product test."""
-
-    left: object
-    right: object
-    pair_count: int
-    left_count: int
-    right_count: int
-    total: int
-
-    def to_dict(self) -> dict:
-        return {
-            "left": self.left,
-            "right": self.right,
-            "pair_count": self.pair_count,
-            "left_count": self.left_count,
-            "right_count": self.right_count,
-            "total": self.total,
-        }
-
-
-def _pair_marginals(pairs: ExactDistribution):
-    left_counts = Counter()
-    right_counts = Counter()
-    for (left, right), count in pairs.counts.items():
-        left_counts[left] += count
-        right_counts[right] += count
-    return left_counts, right_counts
-
-
-def independence_witness(pairs: ExactDistribution):
-    """First cell violating ``count(l,r)·total == count(l)·count(r)``, or None.
-
-    Outcomes of ``pairs`` must be ``(left, right)`` tuples. The scan covers
-    the full product of the two marginal supports, so a structurally missing
-    cell (joint count zero where both marginals are positive) is caught.
-    """
-    left_counts, right_counts = _pair_marginals(pairs)
-    for left in sorted(left_counts):
-        cl = left_counts[left]
-        for right in sorted(right_counts):
-            cr = right_counts[right]
-            if pairs.counts.get((left, right), 0) * pairs.total != cl * cr:
-                return IndependenceWitness(
-                    left, right, pairs.counts.get((left, right), 0), cl, cr, pairs.total
-                )
-    return None
-
-
-def mutual_information_terms(pairs: ExactDistribution):
-    """The mutual information as an exact sum of ``p * log2(ratio)`` terms.
-
-    Returns ``(p, ratio)`` pairs of Fractions; the information is zero
-    exactly when every ratio equals one, which is how the verdict functions
-    decide without ever evaluating a logarithm.
-    """
-    left_counts, right_counts = _pair_marginals(pairs)
-    terms = []
-    for (left, right), count in sorted(pairs.counts.items()):
-        p = Fraction(count, pairs.total)
-        ratio = Fraction(count * pairs.total, left_counts[left] * right_counts[right])
-        terms.append((p, ratio))
-    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -615,16 +547,18 @@ def check_database_privacy(
     on h, on the pads outside S and on the messages outside S and θ: they
     are in the view, independent of ``W_S``, and every value has positive
     probability; the queries are a function of h. Given ``W_S = w`` the
-    answers, less a known constant, are ``M_S·w + M_θ·W_θ + P_S·Z_S`` with
-    ``(W_θ, Z_S)`` uniform, so they are uniform on the coset
-    ``M_S·w + col[M_θ | P_S]``. Their law is free of w iff all these cosets
-    coincide, that is iff ``col(M_S) ⊆ col[M_θ | P_S]``. The span without
-    ``P_S`` lies in the span with it, so a slot without a pad decides
-    whenever there is one, and a padded slot otherwise.
+    answers, less a known constant c, are ``M_S·w + M_θ·W_θ + P_S·Z_S``
+    with ``(W_θ, Z_S)`` uniform, so they are uniform on the coset
+    ``c + M_S·w + V``, ``V = col[M_θ | P_S]``. Their law is free of w iff
+    all these cosets coincide, that is iff ``col(M_S) ⊆ V``: S leaks at h
+    iff appending ``M_S`` raises the rank of ``[M_θ | P_S]``. The span
+    without ``P_S`` lies in the span with it, so a slot without a pad leaks
+    wherever a padded one does; it decides whenever there is one, and it is
+    the last slot's variant either way.
 
     Each h is first decided per edge: edge e ≠ θ passes at h iff
     ``M_e ∈ span(M_θ, P_e)``, with ``P_e`` left out in a slot without a
-    pad. The test is memoized on its column tuple. For e in S,
+    pad. The test is memoized on its columns. For e in S,
     ``span(M_θ, P_e) ⊆ span(M_θ, P_S)``, so if every edge passes at h,
     every subset passes at h, and no subset is tested. Otherwise only the
     subsets that hold a failing edge and do not already leak are tested,
@@ -632,11 +566,37 @@ def check_database_privacy(
     ``span(M_θ)`` for every subset, so a subset leaks at h exactly when it
     holds a failing edge, and none is tested.
 
-    A failing subset's witness is the first violating cell of its pair
-    table (``independence_witness``), tabulated from
-    ``iter_transcript_outcomes``, which is enumerated once per target with
-    a failing subset. ``enumerated`` is the size of that table,
-    ``state_space_size``, for every subset.
+    A leaking subset's witness is the first cell, left values and then
+    right values in sorted order, of its joint table of ``W_S`` (left)
+    against the view ``(answers, queries, pads outside S, messages outside
+    S and θ, coefficients)`` (right) that fails ``count(l, r)·total ==
+    count(l)·count(r)``. It is read off the same cosets, ``V_t`` in slot t,
+    independent across slots. At a view whose h leaks in no slot, the
+    answers' law given ``W_S`` is free of it, so no cell of that view
+    fails. At a view whose h leaks in some slot, with zero answers and zero
+    pads and messages outside S (so c = 0), the answers given ``W_S = 0``
+    are 0 with probability ``Π_t 1/|V_t|``, and over a uniform ``W_S`` with
+    ``Π_t Pr[M_S·w ∈ V_t]/|V_t|``, which the leaking slot makes smaller:
+    that cell fails. So the left is the first value, all zero. Zero answers
+    are the smallest answers and occur (with zero messages and pads), and
+    among them the rights are ordered by their per-slot query tuple, whose
+    queries determine h for a fixed target. So the right is the zero
+    answers, the smallest query tuple ``Q*`` with a leaking slot, zero pads
+    and messages, and the coefficients of ``Q*``. Let m be the smallest
+    single-slot query, and x the smallest at which S leaks in the last
+    slot's variant, which leaks wherever any slot does. ``Q*`` is m in every
+    slot but the last, and x there. Any other tuple with a leaking slot is
+    larger: its first entry other than m comes before the last slot, or it
+    leaks at the last slot with an entry of at least x, or it leaks at a
+    slot holding m, and then x = m. The counts are nullities, one term per
+    slot at its own h and variant. The pair count solves
+    ``M_θ·W_θ + P_S·Z_S = 0`` in every slot, ``q^nullity[M_θ | P_S]``
+    solutions each; the right count also frees ``W_S``,
+    ``q^nullity[M_S | M_θ | P_S]`` each; the left count is
+    ``total / q^(|S|·L)``. Only a target with a leaking subset sorts its
+    q^K single-slot queries to find m and x. No outcome is listed;
+    ``enumerated`` is the size of the table, ``state_space_size``, for
+    every subset.
     """
     pad_length = _resolve_pad_length(message_length, pad_length)
     _ensure_budget(graph, field, message_length, pad_length, budget)
@@ -644,107 +604,136 @@ def check_database_privacy(
     k, q = graph.n_edges, field.modulus
     pad_rows, message_rows = _answer_rows(graph, q)
     pad_columns = list(zip(*pad_rows))
-    # the deciding slot variant: one without a pad if there is one
+    # the deciding slot variant, the last slot's: one without a pad if there is one
     padded = pad_length == message_length
     total = state_space_size(graph, field, message_length, pad_length)
-    edge_spans = {}
+
+    def span(columns, target, subset, has_pad):
+        """``[M_θ | P_S]`` of one slot, ``P_S`` left out without a pad."""
+        return (columns[target - 1], *(pad_columns[e - 1] for e in subset if has_pad))
+
+    ranks, edge_leaks = {}, {}
+
+    def rank(vectors):
+        """``_rank``, memoized on the vectors."""
+        if vectors not in ranks:
+            ranks[vectors] = _rank(vectors, q)
+        return ranks[vectors]
+
+    def leaks(basis, vectors):
+        """Whether appending ``vectors`` raises the rank of ``basis``."""
+        return rank((*basis, *vectors)) > rank(basis)
+
+    def leaking(columns, target, pending):
+        """The subsets of ``pending`` that leak at one h of the deciding
+        variant, given its message columns."""
+        theta = columns[target - 1]
+        failing = set()
+        for e in range(1, k + 1):
+            if e == target:
+                continue
+            # the edge test, memoized on its columns [M_θ | P_e | M_e]
+            key = (theta, pad_columns[e - 1], columns[e - 1]) if padded else (theta, columns[e - 1])
+            if key not in edge_leaks:
+                edge_leaks[key] = leaks(key[:-1], key[-1:])
+            if edge_leaks[key]:
+                failing.add(e)
+        if not failing:
+            return set()
+        return {
+            s for s in pending
+            if not failing.isdisjoint(s)
+            and (not padded or leaks(span(columns, target, s, padded), [columns[e - 1] for e in s]))
+        }
+
+    def witness(target, subset, first, last):
+        """The first failing cell of a leaking subset's table, from the
+        smallest single-slot query and the smallest leaking one, each with
+        its coefficients."""
+        zero_message, zero_pad = (0,) * message_length, (0,) * pad_length
+        slots = [(first, t < pad_length) for t in range(message_length - 1)] + [(last, padded)]
+        pair_nullity = right_nullity = 0
+        for (queries, _), has_pad in slots:
+            columns = list(zip(*message_rows(queries)))
+            basis = span(columns, target, subset, has_pad)
+            joint = (*basis, *(columns[e - 1] for e in subset))
+            pair_nullity += len(basis) - rank(basis)
+            right_nullity += len(joint) - rank(joint)
+        rest = k - len(subset)
+        return {
+            "left": (zero_message,) * len(subset),
+            "right": (
+                (zero_message,) * graph.n_vertices,
+                tuple(queries for (queries, _), _ in slots),
+                (zero_pad,) * rest,
+                (zero_message,) * (rest - 1),
+                tuple(coeffs for (_, coeffs), _ in slots),
+            ),
+            "pair_count": q**pair_nullity,
+            "left_count": total // q ** (len(subset) * message_length),
+            "right_count": q**right_nullity,
+            "total": total,
+        }
+
     results = []
     for target in targets:
-        others = [e for e in range(1, k + 1) if e != target]
-        subsets = [s for size in range(1, k) for s in itertools.combinations(others, size)]
-        leaks = set()
+        subsets = [
+            s for size in range(1, k)
+            for s in itertools.combinations([e for e in range(1, k + 1) if e != target], size)
+        ]
+        pending = set(subsets)
         for _, rows in _mask_rows(graph, field, target, message_rows):
-            columns = list(zip(*rows))
-            theta = columns[target - 1]
-            failing = set()
-            for e in others:
-                basis = (theta, pad_columns[e - 1]) if padded else (theta,)
-                key = (basis, columns[e - 1])
-                if key not in edge_spans:
-                    edge_spans[key] = _spans(basis, [columns[e - 1]], q)
-                if not edge_spans[key]:
-                    failing.add(e)
-            if not failing:
-                continue
-            for subset in subsets:
-                if subset in leaks or failing.isdisjoint(subset):
-                    continue
-                span = [theta, *(pad_columns[e - 1] for e in subset)]
-                if not padded or not _spans(span, [columns[e - 1] for e in subset], q):
-                    leaks.add(subset)
-        outcomes = None
+            pending -= leaking(list(zip(*rows)), target, pending)
+        witnesses = {}
+        if len(pending) < len(subsets):
+            # queries determine h, so sorting them orders the h
+            masks = sorted((_queries(graph, q, target, c), c) for c in field.iter_vectors(k))
+            pending = set(subsets) - pending
+            for queries, coeffs in masks:
+                columns = list(zip(*message_rows(queries)))
+                for subset in leaking(columns, target, pending):
+                    witnesses[subset] = witness(target, subset, masks[0], (queries, coeffs))
+                pending -= witnesses.keys()
+                if not pending:
+                    break
         for subset in subsets:
-            witness = None
-            if subset in leaks:
-                if outcomes is None:
-                    outcomes = list(
-                        iter_transcript_outcomes(graph, field, message_length, target, pad_length)
-                    )
-                witness = _subset_witness(outcomes, k, target, subset).to_dict()
             results.append(
                 CheckResult(
                     check="database-privacy",
                     instance={"target": target, "subset": list(subset)},
-                    passed=witness is None,
+                    passed=subset not in witnesses,
                     enumerated=total,
-                    witness=witness,
+                    witness=witnesses.get(subset),
                 )
             )
     return results
 
 
-def _spans(basis, vectors, q) -> bool:
-    """Whether every vector lies in the span of ``basis`` over F_q (q prime),
-    by Gaussian elimination mod q.
+def _rank(vectors, q) -> int:
+    """The rank of ``vectors`` over F_q (q prime), by Gaussian elimination
+    mod q.
 
     ``rows`` holds ``(pivot, row)`` pairs: each row is 1 at its pivot and 0
     at the pivots of the rows before it. Reducing a vector by the rows in
     order leaves it 0 at every pivot, with its difference from the input in
-    the span. A nonzero combination of the rows is nonzero at the pivot of
-    the first row it uses, so a reduced vector is in the span iff it is 0,
-    and a nonzero reduced basis vector adds a row at its first nonzero entry.
+    the span of the rows. A nonzero combination of the rows is nonzero at
+    the pivot of the first row it uses, so the rows are independent and a
+    reduced vector lies in their span iff it is 0. A nonzero reduced vector
+    adds a row at its first nonzero entry, so the rows span the vectors
+    seen, and their number is the rank.
     """
     rows = []
-
-    def reduce(vector):
+    for vector in vectors:
         for pivot, row in rows:
             c = vector[pivot]
             if c:
                 vector = [(x - c * r) % q for x, r in zip(vector, row)]
-        return vector
-
-    for vector in basis:
-        vector = reduce(vector)
-        pivot = next((i for i, x in enumerate(vector) if x), None)
-        if pivot is not None:
-            inverse = pow(vector[pivot], -1, q)
-            rows.append((pivot, [x * inverse % q for x in vector]))
-    return not any(any(reduce(vector)) for vector in vectors)
-
-
-def _subset_witness(outcomes, k, target, subset) -> IndependenceWitness:
-    """``independence_witness`` of the pair table of a leaking subset: its
-    messages against the rest of the view, over every outcome."""
-    rest = [e - 1 for e in range(1, k + 1) if e not in subset]
-    rest_messages = [i for i in rest if i != target - 1]
-    left = [e - 1 for e in subset]
-    pairs = Counter(
-        (
-            tuple([messages[i] for i in left]),
-            (
-                answers,
-                queries,
-                tuple([pads[i] for i in rest]),
-                tuple([messages[i] for i in rest_messages]),
-                coeffs,
-            ),
-        )
-        for messages, pads, coeffs, queries, answers in outcomes
-    )
-    witness = independence_witness(ExactDistribution(dict(pairs), len(outcomes)))
-    if witness is None:
-        raise AssertionError("the rank test finds a leak but the enumeration does not")
-    return witness
+        for pivot, x in enumerate(vector):
+            if x:
+                inverse = pow(x, -1, q)
+                rows.append((pivot, [y * inverse % q for y in vector]))
+                break
+    return len(rows)
 
 
 # ---------------------------------------------------------------------------

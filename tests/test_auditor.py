@@ -12,6 +12,7 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -31,10 +32,8 @@ from graphspir import (
     check_user_privacy,
     complete_graph,
     cycle_graph,
-    independence_witness,
     init_system,
     iter_transcript_outcomes,
-    mutual_information_terms,
     path_graph,
     run_audit,
     server_view_table,
@@ -43,8 +42,8 @@ from graphspir import (
 )
 from graphspir.auditor import (
     _query_counts,
+    _rank,
     _reliability_witness,
-    _spans,
     _table_difference_witness,
     _view_counts,
 )
@@ -53,6 +52,73 @@ from graphspir.protocol import ServerStore, _answer_slot, _selector_key, gen_que
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+
+
+@dataclass(frozen=True)
+class IndependenceWitness:
+    """A cell where the joint counts fail the product test."""
+
+    left: object
+    right: object
+    pair_count: int
+    left_count: int
+    right_count: int
+    total: int
+
+    def to_dict(self) -> dict:
+        return {
+            "left": self.left,
+            "right": self.right,
+            "pair_count": self.pair_count,
+            "left_count": self.left_count,
+            "right_count": self.right_count,
+            "total": self.total,
+        }
+
+
+def _pair_marginals(pairs: ExactDistribution):
+    left_counts = Counter()
+    right_counts = Counter()
+    for (left, right), count in pairs.counts.items():
+        left_counts[left] += count
+        right_counts[right] += count
+    return left_counts, right_counts
+
+
+def independence_witness(pairs: ExactDistribution):
+    """First cell violating ``count(l,r)·total == count(l)·count(r)``, or None.
+
+    Outcomes of ``pairs`` must be ``(left, right)`` tuples. The scan covers
+    the full product of the two marginal supports, so a structurally missing
+    cell (joint count zero where both marginals are positive) is caught.
+    This is the reference that ``check_database_privacy``'s closed-form
+    witnesses are compared against.
+    """
+    left_counts, right_counts = _pair_marginals(pairs)
+    for left in sorted(left_counts):
+        cl = left_counts[left]
+        for right in sorted(right_counts):
+            cr = right_counts[right]
+            if pairs.counts.get((left, right), 0) * pairs.total != cl * cr:
+                return IndependenceWitness(
+                    left, right, pairs.counts.get((left, right), 0), cl, cr, pairs.total
+                )
+    return None
+
+
+def mutual_information_terms(pairs: ExactDistribution):
+    """The mutual information as an exact sum of ``p * log2(ratio)`` terms.
+
+    Returns ``(p, ratio)`` pairs of Fractions; the information is zero
+    exactly when every ratio equals one, so no logarithm is ever evaluated.
+    """
+    left_counts, right_counts = _pair_marginals(pairs)
+    terms = []
+    for (left, right), count in sorted(pairs.counts.items()):
+        p = Fraction(count, pairs.total)
+        ratio = Fraction(count * pairs.total, left_counts[left] * right_counts[right])
+        terms.append((p, ratio))
+    return terms
 
 
 def _distribution(outcomes):
@@ -118,35 +184,33 @@ class TestIndependenceVerdicts:
         }
 
 
-class TestSpans:
-    """``_spans`` against membership decided by listing every linear
-    combination of the basis."""
+class TestRank:
+    """``_rank`` against the size of the span, listed as every linear
+    combination of the vectors: rank r iff the span has q^r elements."""
 
     @staticmethod
-    def _brute_force(basis, vectors, q):
-        dim = len(vectors[0])
-        span = {
-            tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) % q for i in range(dim))
-            for coeffs in itertools.product(range(q), repeat=len(basis))
-        }
-        return all(tuple(v) in span for v in vectors)
+    def _span_size(vectors, dim, q):
+        return len({
+            tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) % q for i in range(dim))
+            for coeffs in itertools.product(range(q), repeat=len(vectors))
+        })
 
     def test_matches_brute_force(self):
         rng = random.Random(11)
-        verdicts = Counter()
+        ranks = Counter()
         for q in (2, 3, 5):
             for _ in range(300):
                 dim = rng.randint(1, 4)
-                basis = [[rng.randrange(q) for _ in range(dim)] for _ in range(rng.randint(0, 3))]
-                vectors = [[rng.randrange(q) for _ in range(dim)] for _ in range(rng.randint(1, 2))]
-                if basis and rng.random() < 0.5:  # a combination of the basis
-                    vectors[0] = [
-                        sum(rng.randrange(q) * b[i] for b in basis) % q for i in range(dim)
+                vectors = [[rng.randrange(q) for _ in range(dim)] for _ in range(rng.randint(0, 4))]
+                if len(vectors) > 1 and rng.random() < 0.5:  # a dependent vector
+                    vectors[-1] = [
+                        sum(rng.randrange(q) * v[i] for v in vectors[:-1]) % q for i in range(dim)
                     ]
-                verdict = _spans(basis, vectors, q)
-                assert verdict == self._brute_force(basis, vectors, q), (q, basis, vectors)
-                verdicts[q, verdict] += 1
-        assert all(verdicts[q, v] >= 100 for q in (2, 3, 5) for v in (True, False)), verdicts
+                rank = _rank(vectors, q)
+                assert q**rank == self._span_size(vectors, dim, q), (q, vectors)
+                ranks[q, rank < len(vectors)] += 1
+        # full rank and rank-deficient inputs are both well covered
+        assert all(ranks[q, d] >= 100 for q in (2, 3, 5) for d in (True, False)), ranks
 
 
 class TestStateSpace:
@@ -634,6 +698,9 @@ ORACLE_CASES = {
     # some mask vectors pass the per-edge test and some fail it
     "paw-no-pads": (paw_graph(), F2, 1, 0, 28),
     "complete4-no-pads": (complete_graph(4), F2, 1, 0, 186),
+    # two slots: the witness holds the smallest query in the first
+    "path3-L2-no-pads": (path_graph(3), F2, 2, 0, 2),
+    "path3-q3-L2-one-pad": (path_graph(3), F3, 2, 1, 2),
 }
 
 
@@ -649,24 +716,45 @@ class TestDatabasePrivacyOracle:
         assert sum(not c.passed for c in results) == failing
 
 
+def test_leaking_witnesses_enumerate_no_outcome(monkeypatch):
+    """Witnesses come from ranks: a leaking target of 2^20 outcomes lists
+    none of them, and stays small."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("database privacy enumerated the outcomes")
+
+    monkeypatch.setattr(auditor, "iter_transcript_outcomes", refuse)
+    tracemalloc.start()
+    try:
+        results = check_database_privacy(cycle_graph(4), F2, 2, pad_length=1, targets=[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(not c.passed for c in results) == 7
+    assert all(c.witness is not None for c in results if not c.passed)
+    assert peak < 3 * 2**20
+
+
 class TestWorkCount:
     """A passing target costs O(q^K) work: counted calls, not wall time."""
 
     def test_database_privacy_tests_each_edge_not_each_subset(self, monkeypatch):
         calls = []
-        spans = auditor._spans
+        rank = auditor._rank
 
-        def counted(basis, vectors, q):
+        def counted(vectors, q):
             calls.append(len(vectors))
-            return spans(basis, vectors, q)
+            return rank(vectors, q)
 
-        monkeypatch.setattr(auditor, "_spans", counted)
+        monkeypatch.setattr(auditor, "_rank", counted)
         q, k = 2, 5
         results = check_database_privacy(cycle_graph(k), F2, 1, targets=[1])
         assert len(results) == 2 ** (k - 1) - 1 and all(c.passed for c in results)
-        # a test per subset and mask vector would be q^K·(2^(K-1) - 1) = 480 calls
-        assert 0 < len(calls) <= q**k * (k - 1)
-        assert set(calls) == {1}
+        # an edge test ranks [M_θ | P_e | M_e], and [M_θ | P_e] unless
+        # already ranked; a test of a larger subset would rank more columns
+        assert set(calls) == {2, 3}
+        # a test per subset and mask vector would be q^K·(2^(K-1) - 1) = 480
+        assert 0 < calls.count(3) <= q**k * (k - 1)
 
     def test_passing_reliability_never_walks_the_messages(self, monkeypatch):
         lengths = []

@@ -250,6 +250,12 @@ STDOUT_DIGESTS = {
         ["audit", "--family", "star", "--n", "4", "--q", "2", "--degrade-pads"],
         "90688b72dc8284d62108f1403c6cdf61b556b548a47b056e49555e853c97f196",
     ),
+    # two bare slots: 15 witnesses, each from a table of 2^20 outcomes
+    "cycle5-L2-degraded-theta1": (
+        ["audit", "--family", "cycle", "--n", "5", "--q", "2", "--degrade-pads",
+         "--length", "2", "--theta", "1"],
+        "48024a389293257657e8f68041f2e85445114eec40e1960f5dc4a4d215275bed",
+    ),
     "run-path3-q5": (
         ["run", "--family", "path", "--n", "3", "--q", "5", "--seed", "7"],
         "b09441cceadbe675f2dc3488c654a3e613c91d86a1b0a7fb665f11f27487edca",
