@@ -2,15 +2,22 @@
 
 Output is JSON by default (``--format text`` for a plain rendering) and is
 byte-identical across invocations with the same configuration and seed.
+Every input is validated before the first byte is written, and the report
+is written as it is produced: ``run`` decides its verdicts in a first pass
+and replays its rounds from the seed as it writes them, so its memory does
+not grow with the number of targets.
 Exit codes: 0 success / all checks passed, 1 usage or validation error,
 2 audit or decode failure, 3 enumeration budget exceeded.
 """
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import random
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -170,26 +177,48 @@ def _targets(cfg: RunConfig, graph: Graph) -> list[int]:
     return [target]
 
 
-def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
-    graph, name = _load_graph(cfg)
-    field = PrimeField(cfg.modulus)
-    targets = _targets(cfg, graph)
+def _replay(graph: Graph, field: PrimeField, cfg: RunConfig, targets):
+    """Every round of a run, in order, from the rng state ``cfg.seed``
+    gives: one ``(transcript, expected message)`` pair at a time."""
     rng = random.Random(cfg.seed)
     state = init_system(graph, field, cfg.message_length, rng)
-    rounds = []
-    all_correct = True
     for target in targets:
-        transcript = run_round(state, target, rng)
-        expected = state.message(target)
-        correct = transcript.decoded == expected
-        all_correct = all_correct and correct
+        yield run_round(state, target, rng), state.message(target)
+
+
+def _round_records(graph: Graph, field: PrimeField, cfg: RunConfig, targets, verdicts):
+    """The round records of a run, replayed from the seed one at a time.
+
+    ``verdicts`` holds each round's ``correct`` from the first pass, which
+    decided ``all_correct``; a replayed round that disagrees raises rather
+    than let that header stand."""
+    replay = _replay(graph, field, cfg, targets)
+    for verdict, (transcript, expected) in zip(verdicts, replay):
         record = transcript_to_dict(transcript)
         record["expected"] = list(expected)
-        record["correct"] = correct
+        record["correct"] = transcript.decoded == expected
         record["rate"] = str(
             Fraction(cfg.message_length, transcript.downloaded_symbols)
         )
-        rounds.append(record)
+        if record["correct"] != verdict:
+            raise RuntimeError(
+                f"replayed round for message {transcript.target} disagrees with the first pass"
+            )
+        yield record
+
+
+def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
+    """Decide every round's verdict in a first pass that keeps one bool per
+    round. ``payload["rounds"]`` is an iterator that replays the rounds as
+    it is written, so it can be read once."""
+    graph, name = _load_graph(cfg)
+    field = PrimeField(cfg.modulus)
+    targets = _targets(cfg, graph)
+    verdicts = [
+        transcript.decoded == expected
+        for transcript, expected in _replay(graph, field, cfg, targets)
+    ]
+    all_correct = all(verdicts)
     payload = {
         "command": "run",
         "graph": name,
@@ -198,7 +227,7 @@ def cmd_run(cfg: RunConfig) -> tuple[int, dict]:
         "modulus": field.modulus,
         "message_length": cfg.message_length,
         "seed": cfg.seed,
-        "rounds": rounds,
+        "rounds": _round_records(graph, field, cfg, targets, verdicts),
         "all_correct": all_correct,
     }
     return (EXIT_OK if all_correct else EXIT_FAILURE), payload
@@ -245,33 +274,77 @@ def cmd_capacity(cfg: RunConfig) -> tuple[int, dict]:
     return EXIT_OK, payload
 
 
-def _render_text(payload: dict, indent: str = "") -> str:
-    lines = []
+def _json_chunks(value, pad: str = ""):
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, in
+    pieces, for ``value`` nested at indent ``pad``. Dict keys are strs.
+
+    Given an indent, CPython's json falls back to its pure-Python encoder,
+    so containers are laid out here and only scalars go through
+    ``json.dumps``; a list of ints is one join. Any other iterable, such as
+    a run's rounds, is written as a list one item at a time.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        head = "{\n"
+        for key in sorted(value):
+            yield f"{head}{inner}{json.dumps(key)}: "
+            yield from _json_chunks(value[key], inner)
+            head = ",\n"
+        yield "{}" if head == "{\n" else f"\n{pad}}}"
+    elif isinstance(value, (str, int, float)) or value is None:
+        yield json.dumps(value)
+    # type, not isinstance: bools are ints, but print as true and false
+    elif isinstance(value, (list, tuple)) and value and set(map(type, value)) == {int}:
+        newline = "\n" + inner
+        yield f"[{newline}{(',' + newline).join(map(str, value))}\n{pad}]"
+    else:
+        head = "[\n"
+        for item in value:
+            yield head + inner
+            yield from _json_chunks(item, inner)
+            head = ",\n"
+        yield "[]" if head == "[\n" else f"\n{pad}]"
+
+
+def _text_lines(payload: dict, indent: str = ""):
+    """The plain rendering of ``payload``, one line or nested block at a
+    time; a list or an iterator of dicts renders item by item."""
     for key, value in payload.items():
         if isinstance(value, dict):
-            lines.append(f"{indent}{key}:")
-            lines.append(_render_text(value, indent + "  "))
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            lines.append(f"{indent}{key}:")
-            for item in value:
-                lines.append(_render_text(item, indent + "  "))
-                lines.append(f"{indent}  -")
-            lines.pop()
+            yield f"{indent}{key}:"
+            yield _render_text(value, indent + "  ")
+        elif isinstance(value, Iterator) or (
+            isinstance(value, list) and value and isinstance(value[0], dict)
+        ):
+            yield f"{indent}{key}:"
+            for i, item in enumerate(value):
+                if i:
+                    yield f"{indent}  -"
+                yield _render_text(item, indent + "  ")
         else:
-            lines.append(f"{indent}{key}: {json.dumps(value, sort_keys=True)}")
-    return "\n".join(lines)
+            yield f"{indent}{key}: {json.dumps(value, sort_keys=True)}"
+
+
+def _render_text(payload: dict, indent: str = "") -> str:
+    return "\n".join(_text_lines(payload, indent))
 
 
 def _emit(payload: dict, cfg: RunConfig):
+    """Write the report as it is produced, to ``--output`` or stdout."""
     if cfg.fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        chunks = itertools.chain(_json_chunks(payload), "\n")
     else:
-        text = _render_text(payload) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        chunks = (line + "\n" for line in _text_lines(payload))
+    with open(cfg.output, "w") if cfg.output else contextlib.nullcontext(sys.stdout) as fh:
+        # one write per 8 KiB, not per chunk
+        batch, size = [], 0
+        for chunk in chunks:
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= 1 << 13:
+                fh.write("".join(batch))
+                batch, size = [], 0
+        fh.write("".join(batch))
 
 
 def main(argv=None) -> int:

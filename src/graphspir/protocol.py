@@ -167,6 +167,14 @@ def _queries(graph: Graph, q: int, target: int, coeffs) -> tuple:
     )
 
 
+def _check_coeffs(graph: Graph, field: PrimeField, coeffs: tuple):
+    """Raise unless ``coeffs`` holds one field element per message."""
+    if len(coeffs) != graph.n_edges:
+        raise ValueError(f"expected {graph.n_edges} coefficients, got {len(coeffs)}")
+    for c in coeffs:
+        field.check(c)
+
+
 def gen_queries(graph: Graph, field: PrimeField, target: int, coeffs) -> tuple:
     """All servers' queries for one symbol slot.
 
@@ -176,10 +184,7 @@ def gen_queries(graph: Graph, field: PrimeField, target: int, coeffs) -> tuple:
     """
     graph._check_edge(target)
     coeffs = tuple(coeffs)
-    if len(coeffs) != graph.n_edges:
-        raise ValueError(f"expected {graph.n_edges} coefficients, got {len(coeffs)}")
-    for c in coeffs:
-        field.check(c)
+    _check_coeffs(graph, field, coeffs)
     return _queries(graph, field.modulus, target, coeffs)
 
 
@@ -262,18 +267,15 @@ class RoundTranscript:
     downloaded_symbols: int
 
 
-def run_round_with_coeffs(state: SystemState, target: int, coeffs_per_slot) -> RoundTranscript:
-    """Run one round with the given per-slot mask coefficients (no drawing)."""
-    graph, field = state.graph, state.field
-    coeffs_per_slot = tuple(tuple(c) for c in coeffs_per_slot)
-    if len(coeffs_per_slot) != state.message_length:
-        raise ValueError(
-            f"expected {state.message_length} coefficient vectors, got {len(coeffs_per_slot)}"
-        )
+def _run_round(state: SystemState, target: int, coeffs_per_slot) -> RoundTranscript:
+    """Unchecked core of ``run_round_with_coeffs`` and ``run_round``:
+    ``target`` must be a message of the state's graph and
+    ``coeffs_per_slot`` one tuple of field elements per message for each
+    symbol slot."""
+    graph, q = state.graph, state.field.modulus
     queries_per_slot = tuple(
-        gen_queries(graph, field, target, coeffs) for coeffs in coeffs_per_slot
+        _queries(graph, q, target, coeffs) for coeffs in coeffs_per_slot
     )
-    q = field.modulus
     answers = _round_answers(state.stores, q, queries_per_slot)
     return RoundTranscript(
         target=target,
@@ -285,13 +287,31 @@ def run_round_with_coeffs(state: SystemState, target: int, coeffs_per_slot) -> R
     )
 
 
+def run_round_with_coeffs(state: SystemState, target: int, coeffs_per_slot) -> RoundTranscript:
+    """Run one round with the given per-slot mask coefficients (no drawing)."""
+    graph, field = state.graph, state.field
+    coeffs_per_slot = tuple(tuple(c) for c in coeffs_per_slot)
+    if len(coeffs_per_slot) != state.message_length:
+        raise ValueError(
+            f"expected {state.message_length} coefficient vectors, got {len(coeffs_per_slot)}"
+        )
+    graph._check_edge(target)
+    for coeffs in coeffs_per_slot:
+        _check_coeffs(graph, field, coeffs)
+    return _run_round(state, target, coeffs_per_slot)
+
+
 def run_round(state: SystemState, target: int, rng) -> RoundTranscript:
-    """Draw fresh mask coefficients for every symbol slot and run the round."""
+    """Draw fresh mask coefficients for every symbol slot and run the round.
+
+    The drawn coefficients are field elements by construction, so only
+    ``target`` is checked."""
+    state.graph._check_edge(target)
     coeffs_per_slot = tuple(
         state.field.sample_vector(rng, state.graph.n_edges)
         for _ in range(state.message_length)
     )
-    return run_round_with_coeffs(state, target, coeffs_per_slot)
+    return _run_round(state, target, coeffs_per_slot)
 
 
 def transcript_to_dict(t: RoundTranscript) -> dict:

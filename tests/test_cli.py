@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, determinism, formats, environment."""
 
+import contextlib
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
 import graphspir.cli as cli
+import graphspir.protocol as protocol
 from graphspir import AuditReport, CheckResult
 from graphspir.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 
@@ -260,6 +263,16 @@ STDOUT_DIGESTS = {
         ["run", "--family", "path", "--n", "3", "--q", "5", "--seed", "7"],
         "b09441cceadbe675f2dc3488c654a3e613c91d86a1b0a7fb665f11f27487edca",
     ),
+    # every target over two slots, streamed in both formats
+    "run-complete5-L2": (
+        ["run", "--family", "complete", "--n", "5", "--q", "7", "--length", "2", "--seed", "3"],
+        "5e4c4605f794980fe5c7da3530d7e3fa397140f86edd84f715de8341f876697e",
+    ),
+    "run-complete5-L2-text": (
+        ["run", "--family", "complete", "--n", "5", "--q", "7", "--length", "2", "--seed", "3",
+         "--format", "text"],
+        "af517d61ec4cde2967766173d7cd3c0a35b5c726092f5d9c30a250b3fc55bde8",
+    ),
     "capacity-cycle5": (
         ["capacity", "--family", "cycle", "--n", "5"],
         "c9aee21a2acabb1a546f21c841a477c4baec1d8432aedf626513cf45442e24c0",
@@ -268,7 +281,7 @@ STDOUT_DIGESTS = {
 
 
 class TestAuditDigests:
-    """The audit digests, and one pinned ``run`` and ``capacity`` each."""
+    """The audit digests, three pinned ``run`` outputs and one ``capacity``."""
 
     @pytest.mark.parametrize("argv, digest", STDOUT_DIGESTS.values(), ids=STDOUT_DIGESTS.keys())
     def test_stdout_is_pinned(self, capsys, argv, digest):
@@ -361,6 +374,19 @@ class TestOutputModes:
         payload = json.loads(destination.read_text())
         assert payload["all_passed"] is True
 
+    def test_run_output_file_is_pinned(self, capsys, tmp_path):
+        destination = tmp_path / "run.json"
+        code, out, _ = run_cli(
+            capsys,
+            ["run", "--family", "complete", "--n", "5", "--q", "7", "--length", "2",
+             "--seed", "3", "--theta", "2", "--output", str(destination)],
+        )
+        assert code == EXIT_OK
+        assert out == ""
+        assert hashlib.sha256(destination.read_bytes()).hexdigest() == (
+            "b5093c46cfbcfa62f51087d329a54a1c67ffe6d47a57102e89cf1b69c9c4a6f2"
+        )
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -387,3 +413,119 @@ class TestOutputModes:
         )
         assert code == EXIT_USAGE
         assert "not both" in err
+
+
+class _HashingSink:
+    """A stdout that hashes what it is given and keeps none of it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _traced_peak(argv) -> int:
+    """The tracemalloc peak of ``main(argv)``, with stdout hashed away."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_HashingSink()):
+            code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    return peak
+
+
+class TestStreamedRun:
+    """``run`` decides its verdicts in a first pass and replays the rounds
+    from the seed as it writes them."""
+
+    def test_wrong_answers_fail_every_round(self, capsys, monkeypatch):
+        answer = protocol._answer_slot
+        monkeypatch.setattr(
+            protocol, "_answer_slot",
+            lambda store, query, q, slot: (answer(store, query, q, slot) + (store.server == 1)) % q,
+        )
+        code, payload = run_json(
+            capsys, ["run", "--family", "cycle", "--n", "4", "--q", "5", "--length", "2"]
+        )
+        assert code == EXIT_FAILURE
+        assert payload["all_correct"] is False
+        assert len(payload["rounds"]) == 4
+        assert all(r["correct"] is False for r in payload["rounds"])
+
+    def test_replay_that_disagrees_raises(self, monkeypatch):
+        # path-3, both targets: 3 servers answer 1 slot per round, so the
+        # first pass makes 6 calls; every later answer is off by one
+        answer = protocol._answer_slot
+        calls = []
+
+        def drifting(store, query, q, slot):
+            calls.append(store.server)
+            return (answer(store, query, q, slot) + (len(calls) > 6)) % q
+
+        monkeypatch.setattr(protocol, "_answer_slot", drifting)
+        with pytest.raises(RuntimeError, match="first pass"):
+            main(["run", "--family", "path", "--n", "3", "--q", "5"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "path", "--n", "3", "--q", "5", "--theta", "9"],
+            ["--family", "path", "--n", "3", "--q", "5", "--theta", "first"],
+            ["--family", "path", "--n", "3", "--q", "4"],
+            ["--family", "path", "--n", "3", "--q", "5", "--length", "0"],
+            ["--family", "path", "--n", "1", "--q", "5"],
+            ["--q", "5"],
+        ],
+        ids=["theta-out-of-range", "theta-not-int", "q-not-prime", "length-0", "bad-graph", "no-graph"],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_invalid_input_writes_nothing(self, capsys, tmp_path, argv, fmt):
+        destination = tmp_path / "run.out"
+        code, out, _ = run_cli(capsys, ["run", *argv, "--format", fmt])
+        assert code == EXIT_USAGE
+        assert out == ""
+        code, out, _ = run_cli(capsys, ["run", *argv, "--format", fmt, "--output", str(destination)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert not destination.exists()
+
+    def test_memory_does_not_grow_with_targets(self):
+        argv = ["run", "--family", "complete", "--n", "12", "--q", "65521", "--length", "2"]
+        for _ in range(2):  # fill imports, caches and CPython's free lists first
+            _traced_peak(argv)
+        one_round = _traced_peak(argv + ["--theta", "1"])
+        every_round = _traced_peak(argv)  # 66 rounds
+        assert every_round <= 2 * one_round
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        {"a": [], "b": {}, "c": [[]], "d": [{}]},
+        [1, -2, 3],
+        [True, 1, 0],
+        [1, 2.5, None],
+        (4, 5),
+        {"z": 1, "a": [1, [2, 3], {"k": "v"}], "m": None, "é": "ü\n\"", "f": 1.5e300},
+        [[0] * 3, [(1, 2), [True, False]], "x"],
+    ],
+)
+def test_json_chunks_match_json_dumps(value):
+    assert "".join(cli._json_chunks(value)) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_chunks_write_an_iterable_item_by_item():
+    items = iter([{"b": [1, 2], "a": True}, [3]])
+    assert "".join(cli._json_chunks({"rounds": items})) == json.dumps(
+        {"rounds": [{"b": [1, 2], "a": True}, [3]]}, indent=2, sort_keys=True
+    )

@@ -271,6 +271,42 @@ class TestRunRound:
         with pytest.raises(ValueError):
             run_round_with_coeffs(state, 1, ((0, 0),))
 
+    @pytest.mark.parametrize(
+        "target, coeffs",
+        [(1, ((0, 0), (0, 3))), (1, ((0, 0), (0,))), (1, ((0, 0), (0, True))), (3, ((0, 0), (0, 0)))],
+        ids=["out-of-field", "short", "bool", "bad-target"],
+    )
+    def test_bad_coefficients_rejected(self, target, coeffs):
+        state = init_system(path_graph(3), F3, 2, random.Random(0))
+        with pytest.raises(ValueError):
+            run_round_with_coeffs(state, target, coeffs)
+
+    def test_bad_target_rejected(self):
+        state = init_system(path_graph(3), F3, 1, random.Random(0))
+        with pytest.raises(ValueError):
+            run_round(state, 3, random.Random(1))
+
+    def test_matches_run_round_with_coeffs_on_its_draws(self):
+        state = init_system(cycle_graph(4), F5, 3, random.Random(3))
+        transcript = run_round(state, 2, random.Random(8))
+        draws = random.Random(8)
+        coeffs = tuple(F5.sample_vector(draws, 4) for _ in range(3))
+        assert transcript.coefficients == coeffs
+        assert run_round_with_coeffs(state, 2, coeffs) == transcript
+
+    def test_checks_no_coefficient_it_drew(self, monkeypatch):
+        state = init_system(cycle_graph(4), F5, 2, random.Random(3))
+        checked = []
+        check = PrimeField.check
+        monkeypatch.setattr(
+            PrimeField, "check", lambda self, symbol: checked.append(symbol) or check(self, symbol)
+        )
+        transcript = run_round(state, 2, random.Random(8))
+        assert checked == []
+        # the given coefficients are checked: K of them in each of L slots
+        run_round_with_coeffs(state, 2, transcript.coefficients)
+        assert len(checked) == 4 * 2
+
 
 def _canonical(transcript):
     """The canonical one-line JSON record of a round."""
