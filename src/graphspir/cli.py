@@ -307,12 +307,12 @@ def _json_chunks(value, pad: str = ""):
 
 
 def _text_lines(payload: dict, indent: str = ""):
-    """The plain rendering of ``payload``, one line or nested block at a
-    time; a list or an iterator of dicts renders item by item."""
+    """The plain rendering of ``payload``, one line at a time; a list or an
+    iterator of dicts renders item by item."""
     for key, value in payload.items():
         if isinstance(value, dict):
             yield f"{indent}{key}:"
-            yield _render_text(value, indent + "  ")
+            yield from _text_lines(value, indent + "  ")
         elif isinstance(value, Iterator) or (
             isinstance(value, list) and value and isinstance(value[0], dict)
         ):
@@ -320,13 +320,9 @@ def _text_lines(payload: dict, indent: str = ""):
             for i, item in enumerate(value):
                 if i:
                     yield f"{indent}  -"
-                yield _render_text(item, indent + "  ")
+                yield from _text_lines(item, indent + "  ")
         else:
             yield f"{indent}{key}: {json.dumps(value, sort_keys=True)}"
-
-
-def _render_text(payload: dict, indent: str = "") -> str:
-    return "\n".join(_text_lines(payload, indent))
 
 
 def _emit(payload: dict, cfg: RunConfig):
