@@ -8,8 +8,10 @@ nonzero or the pads can shift the sum. Database privacy is an exact rank
 test mod q; a failure's witness is the first cell of the joint count table
 that fails cross-multiplication (``count(a,b) * total == count(a) *
 count(b)``), computed from the same ranks without listing an outcome. User
-privacy is decided on exact query counts, and per-server views are compared
-as count tables for exact equality.
+privacy is decided on each server's single-slot query counts, which fix its
+view tables exactly; a failure's witness, the first cell at which two view
+tables differ, and its counts are computed from the same query counts
+without listing a view.
 
 Audited constraints:
 
@@ -100,10 +102,11 @@ def state_space_size(graph: Graph, field: PrimeField, message_length: int, pad_l
     return q ** (k * message_length + k * pad_length + k * message_length)
 
 
-def _ensure_budget(graph, field, message_length, pad_length, budget):
+def _ensure_budget(graph, field, message_length, pad_length, budget) -> int:
     required = state_space_size(graph, field, message_length, pad_length)
     if required > budget:
         raise BudgetExceededError(required, budget)
+    return required
 
 
 def iter_transcript_outcomes(graph, field, message_length, target, pad_length=None):
@@ -221,7 +224,7 @@ def check_reliability(
     a negative control and makes the check fail with a witness.
     """
     pad_length = _resolve_pad_length(message_length, pad_length)
-    _ensure_budget(graph, field, message_length, pad_length, budget)
+    joint_space = _ensure_budget(graph, field, message_length, pad_length, budget)
     if drop_server is not None:
         graph._check_vertex(drop_server)
     q = field.modulus
@@ -261,11 +264,7 @@ def check_reliability(
         results.append(
             CheckResult(
                 check="reliability",
-                instance={
-                    "target": target,
-                    "slots": message_length,
-                    "joint_space": state_space_size(graph, field, message_length, pad_length),
-                },
+                instance={"target": target, "slots": message_length, "joint_space": joint_space},
                 passed=failure is None,
                 enumerated=enumerated,
                 witness=witness,
@@ -455,20 +454,40 @@ def check_user_privacy(
     count-table equality against the target-1 table; equality is
     transitive, so every pair of targets is covered.
 
-    Each server's tables are decided on its query tables. Its view is
-    ``(queries, answer, messages, pads)`` on its held edges, where the
-    answer is ``_answer_slot`` of the other three, and the mask coefficients
-    are drawn independently of the messages and pads. So a view's count is
-    its query tuple's count if the answer is right and 0 otherwise
-    (``_view_counts``), and summing a view table over answers, messages and
-    pads gives the query table times ``q^(deg·(L + L'))``. Two targets' view
-    tables are therefore equal exactly when their query tables are. The
-    query tables are counted over the whole held coefficient space, so an
-    unmasked selector fails because its counts differ, not by an argument.
-    A server's query depends on the target only through ``_selector_key``,
-    so it counts one query ``Counter`` per distinct key (at most
-    ``1 + degree``); only an unequal pair is expanded to views for the
-    witness.
+    Each server's tables are decided on its single-slot query tables. Its
+    view is ``(queries, answer, messages, pads)`` on its held edges, where
+    the answer is ``_answer_slot`` of the other three, and the mask
+    coefficients are drawn independently of the messages and pads. So a
+    view's count is its query tuple's count if the answer is right and 0
+    otherwise (``_view_counts``), and summing a view table over answers,
+    messages and pads gives the L-slot query table times
+    ``q^(deg·(L + L'))``. Two targets' view tables are therefore equal
+    exactly when their L-slot query tables are. The slots' coefficients are
+    drawn independently, so an L-slot query tuple's count is the product of
+    its entries' single-slot counts, and the L-slot tables of two targets
+    with single-slot tables A and B are equal iff A = B: if ``A[y] ≠ B[y]``,
+    the tuples ``(y, …, y)`` count ``A[y]^L ≠ B[y]^L``. The query tables are
+    counted over the whole held coefficient space, so an unmasked selector
+    fails because its counts differ, not by an argument. A server's query
+    depends on the target only through ``_selector_key``, so it counts one
+    single-slot ``Counter`` of q^deg queries per distinct key (at most
+    ``1 + degree``), and no view is listed.
+
+    A failure's witness is the first cell, in sorted order, at which the
+    two view tables differ, with its two counts. A query tuple whose counts
+    differ has every entry in the keys of A or B, since a product with an
+    entry outside them is 0 in both tables. Let m be the smallest of those
+    keys, and x the smallest at which A and B differ. Then ``(m, …, m, x)``
+    is the smallest differing tuple: if ``A[m] ≠ B[m]``, then x = m, and
+    every tuple of keys is at least ``(m, …, m)``; otherwise
+    ``(m, …, m, y)`` differs iff ``A[y] ≠ B[y]``, so it is smallest at y = x,
+    and a tuple with an earlier entry other than m is larger. Within a query
+    tuple, zero messages and zero pads give the zero answer
+    (``protocol._answer_slot`` is linear), which is the smallest answer,
+    and zero messages and pads are then the smallest. So the witness view is
+    ``((m, …, m, x), 0, zero messages, zero pads)``, and its counts are
+    ``A[m]^(L−1)·A[x]`` and ``B[m]^(L−1)·B[x]``. ``enumerated`` is the size
+    of the view table, ``(Σ A)^L · q^(deg·(L + L'))``.
 
     ``mask_queries=False`` is a negative control that sends the raw selector
     (no mask coefficients); the check must then fail at the selector-holding
@@ -478,22 +497,32 @@ def check_user_privacy(
     _ensure_budget(graph, field, message_length, pad_length, budget)
     results = []
     for server in range(1, graph.n_vertices + 1):
+        degree = graph.degree(server)
         keys = {t: _selector_key(graph, server, t) for t in range(1, graph.n_edges + 1)}
         tables = {
-            key: _query_counts(graph, field, message_length, server, key, mask_queries)
+            key: _query_counts(graph, field, 1, server, key, mask_queries)
             for key in set(keys.values())
         }
         reference = tables[keys[1]]
-        views = functools.partial(_view_counts, graph, field, message_length, pad_length, server)
-        witnesses = {
-            key: None if table == reference
-            else _table_difference_witness(views(reference), views(table))
-            for key, table in tables.items()
-        }
-        views_per_query = field.modulus ** (graph.degree(server) * (message_length + pad_length))
-        enumerated = sum(reference.values()) * views_per_query
+        # the zero answer, messages and pads of the witness view
+        zeros = (
+            (0,) * message_length, ((0,) * message_length,) * degree, ((0,) * pad_length,) * degree
+        )
+        witnesses = {}
+        for key, table in tables.items():
+            if table != reference:
+                queries = reference.keys() | table.keys()
+                m = min(queries)
+                x = min(y for y in queries if reference[y] != table[y])
+                witnesses[key] = {
+                    "view": repr((m * (message_length - 1) + x, *zeros)),
+                    "reference_count": reference[m] ** (message_length - 1) * reference[x],
+                    "target_count": table[m] ** (message_length - 1) * table[x],
+                }
+        views_per_query = field.modulus ** (degree * (message_length + pad_length))
+        enumerated = sum(reference.values()) ** message_length * views_per_query
         for target in range(2, graph.n_edges + 1):
-            witness = witnesses[keys[target]]
+            witness = witnesses.get(keys[target])
             results.append(
                 CheckResult(
                     check="user-privacy",
@@ -504,18 +533,6 @@ def check_user_privacy(
                 )
             )
     return results
-
-
-def _table_difference_witness(reference: Counter, other: Counter) -> dict:
-    keys = sorted(set(reference) | set(other))
-    for key in keys:
-        if reference.get(key, 0) != other.get(key, 0):
-            return {
-                "view": repr(key),
-                "reference_count": reference.get(key, 0),
-                "target_count": other.get(key, 0),
-            }
-    raise AssertionError("tables compared unequal but no differing cell found")
 
 
 def check_database_privacy(
@@ -599,14 +616,13 @@ def check_database_privacy(
     every subset.
     """
     pad_length = _resolve_pad_length(message_length, pad_length)
-    _ensure_budget(graph, field, message_length, pad_length, budget)
+    total = _ensure_budget(graph, field, message_length, pad_length, budget)
     targets = _resolve_targets(graph, targets)
     k, q = graph.n_edges, field.modulus
     pad_rows, message_rows = _answer_rows(graph, q)
     pad_columns = list(zip(*pad_rows))
     # the deciding slot variant, the last slot's: one without a pad if there is one
     padded = pad_length == message_length
-    total = state_space_size(graph, field, message_length, pad_length)
 
     def span(columns, target, subset, has_pad):
         """``[M_θ | P_S]`` of one slot, ``P_S`` left out without a pad."""

@@ -5,6 +5,7 @@ negative controls (dropped answers, unmasked selectors, zero-length pads)
 prove the failure paths produce witnesses instead of silently passing.
 """
 
+import ast
 import hashlib
 import itertools
 import json
@@ -44,7 +45,6 @@ from graphspir.auditor import (
     _query_counts,
     _rank,
     _reliability_witness,
-    _table_difference_witness,
     _view_counts,
 )
 from graphspir.protocol import ServerStore, _answer_slot, _selector_key, gen_queries
@@ -814,6 +814,20 @@ def _reference_server_view_table(
     return ExactDistribution(dict(table), sum(table.values()))
 
 
+def _table_difference_witness(reference: Counter, other: Counter) -> dict:
+    """The first differing cell of two count tables, in sorted order: the
+    reference for ``check_user_privacy``'s closed-form witnesses."""
+    keys = sorted(set(reference) | set(other))
+    for key in keys:
+        if reference.get(key, 0) != other.get(key, 0):
+            return {
+                "view": repr(key),
+                "reference_count": reference.get(key, 0),
+                "target_count": other.get(key, 0),
+            }
+    raise AssertionError("tables compared unequal but no differing cell found")
+
+
 def _reference_user_privacy(graph, field, message_length, pad_length=None, mask_queries=True):
     """Every target's reference table, compared against target 1's."""
     results = []
@@ -847,6 +861,8 @@ USER_ORACLE_CASES = {
     "path3-q3": (path_graph(3), F3, 1, None, True, 0),
     "path3-L2": (path_graph(3), F2, 2, None, True, 0),
     "path3-L2-one-pad": (path_graph(3), F2, 2, 1, True, 0),
+    "path3-L2-unmasked": (path_graph(3), F2, 2, None, False, 2),
+    "path3-L2-one-pad-unmasked": (path_graph(3), F2, 2, 1, False, 2),
     "path3-unmasked": (path_graph(3), F2, 1, None, False, 2),
     "cycle3-q3-unmasked": (cycle_graph(3), F3, 1, None, False, 4),
     "paw": (paw_graph(), F2, 1, None, True, 0),
@@ -884,6 +900,74 @@ class TestUserPrivacyOracle:
                 assert table == _reference_server_view_table(
                     graph, field, length, target, server, pad_length, mask
                 )
+
+
+def _non_bijective_selector(signs, coeffs_held, position, q):
+    """The protocol's query with a selector that is not a bijection: the
+    selected entry is 0 where it was 0 and q - 1 elsewhere, so for q > 2 a
+    selected server's query counts depend on the target."""
+    query = [c if sign == 1 else -c % q for sign, c in zip(signs, coeffs_held)]
+    if position is not None:
+        query[position] = 0 if query[position] == 0 else q - 1
+    return tuple(query)
+
+
+def _patch_selector(monkeypatch, selector):
+    """Bind ``selector`` wherever the package binds the shipped
+    ``protocol._signed_query``."""
+    shipped = protocol._signed_query
+    patched = []
+    for name, module in list(sys.modules.items()):
+        in_package = name.partition(".")[0] == "graphspir"
+        if in_package and getattr(module, "_signed_query", None) is shipped:
+            monkeypatch.setattr(module, "_signed_query", selector)
+            patched.append(name)
+    assert {"graphspir.protocol", "graphspir.auditor"} <= set(patched)
+
+
+def _witness_slots(results):
+    """The first and the last slot query of each failing witness view."""
+    views = [ast.literal_eval(c.witness["view"]) for c in results if not c.passed]
+    return [(queries[0], queries[-1]) for queries, *_ in views]
+
+
+def test_user_privacy_witness_branches_match_reference(monkeypatch):
+    """A witness view's query tuple is (m, …, m, x). An unmasked selector
+    differs at the smallest query, so x = m; a selector that is not a
+    bijection differs only at a later one, so x ≠ m. Both equal the
+    expanded-view reference."""
+    graph = path_graph(3)
+    results = check_user_privacy(graph, F2, 2, mask_queries=False)
+    assert results == _reference_user_privacy(graph, F2, 2, mask_queries=False)
+    assert [first == last for first, last in _witness_slots(results)] == [True, True]
+
+    _patch_selector(monkeypatch, _non_bijective_selector)
+    results = check_user_privacy(graph, F3, 2, pad_length=0)
+    assert results == _reference_user_privacy(graph, F3, 2, 0)
+    assert [first == last for first, last in _witness_slots(results)] == [False, False]
+
+
+def test_user_privacy_expands_no_view(monkeypatch):
+    """Witnesses come from single-slot query tables: a failing check builds
+    no L-slot query table and lists no view."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("user privacy expanded a view table")
+
+    lengths = []
+    query_counts = auditor._query_counts
+
+    def counted(graph, field, message_length, *args):
+        lengths.append(message_length)
+        return query_counts(graph, field, message_length, *args)
+
+    monkeypatch.setattr(auditor, "_view_counts", refuse)
+    monkeypatch.setattr(auditor, "_query_counts", counted)
+    results = check_user_privacy(cycle_graph(4), F2, 2, pad_length=1, mask_queries=False)
+    failing = [c for c in results if not c.passed]
+    assert len(failing) == 6
+    assert all(c.witness is not None for c in failing)
+    assert set(lengths) == {1}
 
 
 class TestSelectorKey:
