@@ -3,8 +3,9 @@
 Every verdict here is exact — no sampling, no floating point, no tolerances.
 Reliability and database privacy are exhaustive over the mask coefficients
 of one slot and algebraic over messages and pads. Reliability reads the
-decoding defect of each mask vector and walks the messages only where it is
-nonzero or the pads can shift the sum. Database privacy is an exact rank
+decoding defect of each mask vector and the pads' weights, and builds a
+failure's witness from their last nonzero entries without walking any
+message or pad. Database privacy is an exact rank
 test mod q; a failure's witness is the first cell of the joint count table
 that fails cross-multiplication (``count(a,b) * total == count(a) *
 count(b)``), computed from the same ranks without listing an outcome. User
@@ -35,7 +36,6 @@ beyond a configurable outcome count rather than silently auditing a subset.
 
 import functools
 import itertools
-import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -198,7 +198,7 @@ def check_reliability(
     joint space is the product of identical single-slot spaces (one variant
     with a pad symbol, one without when pads are shorter than messages): a
     decode error exists in the joint space exactly when one exists in a slot
-    space. Each slot variant is decided over every mask vector h.
+    space.
 
     Decoding sums the kept answers, and an answer is linear in the held
     messages and pads (``protocol._answer_slot``), so each symbol enters the
@@ -206,19 +206,31 @@ def check_reliability(
     unit vector at it (``_answer_rows``). The decoded symbol is the target
     symbol less ``defect(h)·W``, plus ``r`` mod q, where ``defect(h)`` is
     the unit vector at the target less the message weights under h's
-    queries, and ``r`` is the pads' weighted sum. The pad vectors are
-    grouped by ``r`` once per check and slot variant, keeping the first
-    vector of each residue in enumeration order. A ``(h, messages)`` pair
-    fails exactly when some residue differs from ``defect(h)·W``. The zero
-    pad vector comes first and reaches residue 0, so when every pad reaches
-    0 and ``defect(h)`` is 0, no pair of h fails and its messages are never
-    walked; otherwise they are walked in order up to the first failure. The
-    witness is therefore the first failing outcome of the full enumeration:
-    within a pair, the first failing pad vector is the first of the first
-    failing residue.
-    ``enumerated`` counts the outcomes of every slot variant visited,
-    ``q^(2K)`` pairs times the variant's pad vectors, as a full enumeration
-    that stops after the first failing variant would.
+    queries, and ``r`` is the pads' weighted sum. A slot realization
+    ``(h, W, Z)`` fails exactly when ``r ≠ defect(h)·W``. Two facts about a
+    linear form ``x ↦ d·x`` over F_q (q prime) decide it without walking any
+    message or pad. (1) Its values are {0} if d is 0, and all of F_q
+    otherwise, since a nonzero entry can be scaled to any value. (2) The
+    first vector in ``field.iter_vectors`` order with ``d·x ≠ 0`` is the
+    unit vector at the last nonzero entry ``d_i`` of d: every vector before
+    it in that order is zero at entry i and at every earlier one, so it
+    meets d only where d is 0, and the unit vector has value ``d_i ≠ 0``.
+
+    So if a slot has a pad and some pad weight is nonzero, ``r`` takes
+    every value: in enumeration order the padded variant comes first, and
+    its first outcome, the zero mask vector with zero messages, fails at the
+    first pad with ``r ≠ 0``, the unit pad at the last nonzero pad weight
+    (2). Otherwise ``r`` is 0, and a realization fails iff
+    ``defect(h)·W ≠ 0``. No h with a zero defect fails (1), and the first h
+    with a nonzero defect fails first at the unit message at the defect's
+    last nonzero entry (2), with the zero pads (``None`` when no slot has a
+    pad) in the first variant. The defect does not read the pads, so a
+    variant that passes is followed by one that passes too. Each target is
+    therefore decided in one pass over its mask vectors, and its witness is
+    the first failing outcome of the full enumeration. ``enumerated``
+    counts the outcomes of every slot variant visited, ``q^(2K)`` pairs
+    times the variant's pad vectors, as a full enumeration that stops after
+    the first failing variant would.
 
     ``drop_server`` excludes one server's answer from decoding; it exists as
     a negative control and makes the check fail with a witness.
@@ -231,30 +243,23 @@ def check_reliability(
     k = graph.n_edges
     pad_rows, message_rows = _answer_rows(graph, q)
     kept = [n - 1 for n in range(1, graph.n_vertices + 1) if n != drop_server]
-    pad_weights = [sum(column) for column in zip(*[pad_rows[i] for i in kept])]
-
-    # per slot variant: its pad vector count, and each pad residue with the
-    # first pad vector that reaches it
-    variants = []
-    for padded in [True] * (pad_length > 0) + [False] * (pad_length < message_length):
-        residues = {}
-        pad_space = field.iter_vectors(k) if padded else [None]
-        for pads in pad_space:
-            residue = sum(map(operator.mul, pad_weights, pads)) % q if pads else 0
-            residues.setdefault(residue, pads)
-        variants.append((padded, q**k if padded else 1, residues))
+    pad_weights = [sum(column) % q for column in zip(*[pad_rows[i] for i in kept])]
+    pad_shift = pad_length > 0 and any(pad_weights)
+    # the pad vectors of each slot variant, the padded one first
+    pad_counts = [q**k] * (pad_length > 0) + [1] * (pad_length < message_length)
+    zero = (0,) * k
 
     results = []
     for target in _resolve_targets(graph, targets):
         failure = None
-        enumerated = 0
-        for padded, pad_count, residues in variants:
-            enumerated += q ** (2 * k) * pad_count
-            failure = _first_decode_failure(
-                field, target, _mask_rows(graph, field, target, message_rows), kept, residues
-            )
+        for coeffs, rows in _mask_rows(graph, field, target, message_rows):
+            weights = [sum(column) for column in zip(*[rows[i] for i in kept])]
+            defect = [(int(e == target - 1) - w) % q for e, w in enumerate(weights)]
+            if pad_shift:
+                failure = coeffs, zero, _last_unit(pad_weights), True
+            elif any(defect):
+                failure = coeffs, _last_unit(defect), zero if pad_length else None, pad_length > 0
             if failure:
-                failure += (padded,)
                 break
         witness = None
         if failure:
@@ -266,30 +271,19 @@ def check_reliability(
                 check="reliability",
                 instance={"target": target, "slots": message_length, "joint_space": joint_space},
                 passed=failure is None,
-                enumerated=enumerated,
+                enumerated=q ** (2 * k) * (pad_counts[0] if failure else sum(pad_counts)),
                 witness=witness,
             )
         )
     return results
 
 
-def _first_decode_failure(field, target, mask_rows, kept, residues):
-    """The first ``(coefficients, messages, pads)`` of one slot variant, in
-    enumeration order, whose kept answers do not sum to the target symbol,
-    or None (``check_reliability``)."""
-    q = field.modulus
-    for coeffs, rows in mask_rows:
-        weights = [sum(column) for column in zip(*[rows[i] for i in kept])]
-        defect = [(int(e == target - 1) - w) % q for e, w in enumerate(weights)]
-        if len(residues) == 1 and not any(defect):
-            continue
-        for messages in field.iter_vectors(len(weights)):
-            # the pads that decode correctly are those of residue ``need``
-            need = sum(map(operator.mul, defect, messages)) % q
-            for residue, pads in residues.items():
-                if residue != need:
-                    return coeffs, messages, pads
-    return None
+def _last_unit(vector):
+    """The unit vector at the last nonzero entry of ``vector``: the first
+    vector in ``field.iter_vectors`` order with a nonzero dot product
+    against it (``check_reliability``)."""
+    last = max(e for e, x in enumerate(vector) if x)
+    return tuple(int(e == last) for e in range(len(vector)))
 
 
 def _mask_rows(graph, field, target, message_rows):

@@ -325,22 +325,21 @@ def _text_lines(payload: dict, indent: str = ""):
             yield f"{indent}{key}: {json.dumps(value, sort_keys=True)}"
 
 
-def _emit(payload: dict, cfg: RunConfig):
-    """Write the report as it is produced, to ``--output`` or stdout."""
-    if cfg.fmt == "json":
+def _emit(payload: dict, fmt: str, fh):
+    """Write the report to ``fh`` as it is produced."""
+    if fmt == "json":
         chunks = itertools.chain(_json_chunks(payload), "\n")
     else:
         chunks = (line + "\n" for line in _text_lines(payload))
-    with open(cfg.output, "w") if cfg.output else contextlib.nullcontext(sys.stdout) as fh:
-        # one write per 8 KiB, not per chunk
-        batch, size = [], 0
-        for chunk in chunks:
-            batch.append(chunk)
-            size += len(chunk)
-            if size >= 1 << 13:
-                fh.write("".join(batch))
-                batch, size = [], 0
-        fh.write("".join(batch))
+    # one write per 8 KiB, not per chunk
+    batch, size = [], 0
+    for chunk in chunks:
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= 1 << 13:
+            fh.write("".join(batch))
+            batch, size = [], 0
+    fh.write("".join(batch))
 
 
 def main(argv=None) -> int:
@@ -360,7 +359,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(payload, cfg)
+    try:
+        # opened only once every input has been validated
+        out = open(cfg.output, "w") if cfg.output else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: cannot write {cfg.output}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    with out as fh:
+        _emit(payload, cfg.fmt, fh)
     return code
 
 

@@ -228,6 +228,9 @@ def server_answer_slot(store: ServerStore, query, field: PrimeField, slot: int) 
     """One server's answer symbol for one slot: query-message inner product
     plus the signed sum of its pad symbols (slots past the pad length have
     no pad contribution)."""
+    slots = len(store.messages[0]) if store.messages else 0
+    if not (_is_index(slot) and 0 <= slot < slots):
+        raise ValueError(f"slot must be an int in 0..{slots - 1}, got {slot!r}")
     query = tuple(query)
     if len(query) != len(store.held):
         raise ValueError(

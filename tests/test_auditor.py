@@ -439,11 +439,20 @@ RELIABILITY_ORACLE_CASES = {
         for n in (1, 2, 3)
     },
     "complete4-drop1": (complete_graph(4), F2, 1, None, 1, 6),
+    # no pad shifts the sum, so each witness has the unit message at the
+    # defect's last nonzero entry; across the four, that is every edge
+    **{
+        f"cycle4-q3-no-pads-drop{n}": (cycle_graph(4), F3, 1, 0, n, 4)
+        for n in (1, 2, 3, 4)
+    },
+    # the hub's pads are the only ones that cancel, so every target fails at
+    # the zero mask vector with a unit pad
+    "star4-drop-hub": (star_graph(4), F2, 1, None, 4, 3),
 }
 
 
 class TestReliabilityOracle:
-    """The residue-grouped check equals the per-pad loop, witnesses included."""
+    """The closed-form check equals the per-pad loop, witnesses included."""
 
     @pytest.mark.parametrize(
         "case", RELIABILITY_ORACLE_CASES.values(), ids=RELIABILITY_ORACLE_CASES.keys()
@@ -768,14 +777,22 @@ class TestWorkCount:
         k = 5
         results = check_reliability(cycle_graph(k), F2, 1)
         assert len(results) == k and all(c.passed for c in results)
-        # one pad space per check and one mask-vector loop per target; a
-        # message walk would add a call
-        assert lengths == [k] * (1 + k)
+        # one mask-vector loop per target and no pad space; a message or pad
+        # walk would add a call
+        assert lengths == [k] * k
 
         lengths.clear()
         results = check_reliability(cycle_graph(k), F2, 1, drop_server=1, targets=[1])
         assert not results[0].passed
-        assert len(lengths) > 2
+        # the dropped server's pads shift the sum, so the loop stops at its
+        # first mask vector
+        assert lengths == [k]
+
+        lengths.clear()
+        results = check_reliability(path_graph(3), F2, 2, pad_length=1)
+        assert len(results) == 2 and all(c.passed for c in results)
+        # one mask-vector loop per target, not one per slot variant
+        assert lengths == [2] * 2
 
 
 def _reference_server_view_table(

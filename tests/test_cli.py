@@ -374,6 +374,17 @@ class TestOutputModes:
         payload = json.loads(destination.read_text())
         assert payload["all_passed"] is True
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, where):
+        destination = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+        code, out, err = run_cli(
+            capsys, ["capacity", "--family", "path", "--n", "3", "--output", str(destination)]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: cannot write {destination}: ")
+        assert "Traceback" not in err
+
     def test_run_output_file_is_pinned(self, capsys, tmp_path):
         destination = tmp_path / "run.json"
         code, out, _ = run_cli(

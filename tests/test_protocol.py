@@ -195,6 +195,13 @@ class TestServerAnswer:
         assert server_answer_slot(store, (1,), F5, 0) == F5.add(1, 2)
         assert server_answer_slot(store, (1,), F5, 1) == 2
 
+    @pytest.mark.parametrize("slot", [-1, 2, True, 1.0, "1", None])
+    def test_slot_outside_the_messages_rejected(self, slot):
+        # L=2: -1 would read slot 1 from the end, and True would read as 1
+        state = state_from_values(path_graph(3), F5, 2, ((1, 2), (3, 4)), ((2,), (1,)))
+        with pytest.raises(ValueError, match=r"slot must be an int in 0\.\.1"):
+            server_answer_slot(state.stores[0], (1,), F5, slot)
+
 
 class TestSignCancellation:
     @pytest.mark.parametrize(
