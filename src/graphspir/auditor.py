@@ -36,6 +36,7 @@ beyond a configurable outcome count rather than silently auditing a subset.
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -252,7 +253,9 @@ def check_reliability(
     results = []
     for target in _resolve_targets(graph, targets):
         failure = None
-        for coeffs, rows in _mask_rows(graph, field, target, message_rows):
+        # each h comes from iter_vectors, so its queries are built unchecked
+        for coeffs in field.iter_vectors(k):
+            rows = message_rows(_queries(graph, q, target, coeffs))
             weights = [sum(column) for column in zip(*[rows[i] for i in kept])]
             defect = [(int(e == target - 1) - w) % q for e, w in enumerate(weights)]
             if pad_shift:
@@ -284,16 +287,6 @@ def _last_unit(vector):
     against it (``check_reliability``)."""
     last = max(e for e, x in enumerate(vector) if x)
     return tuple(int(e == last) for e in range(len(vector)))
-
-
-def _mask_rows(graph, field, target, message_rows):
-    """Every mask vector h of one slot, in enumeration order, with the
-    servers' answer rows to unit messages under its queries
-    (``_answer_rows``). Each h comes from ``field.iter_vectors``, so its
-    queries are built unchecked (``protocol._queries``)."""
-    q = field.modulus
-    for coeffs in field.iter_vectors(graph.n_edges):
-        yield coeffs, message_rows(_queries(graph, q, target, coeffs))
 
 
 def _answer_rows(graph, q):
@@ -604,17 +597,26 @@ def check_database_privacy(
     ``M_θ·W_θ + P_S·Z_S = 0`` in every slot, ``q^nullity[M_θ | P_S]``
     solutions each; the right count also frees ``W_S``,
     ``q^nullity[M_S | M_θ | P_S]`` each; the left count is
-    ``total / q^(|S|·L)``. Only a target with a leaking subset sorts its
-    q^K single-slot queries to find m and x. No outcome is listed;
-    ``enumerated`` is the size of the table, ``state_space_size``, for
-    every subset.
+    ``total / q^(|S|·L)``.
+
+    Each target visits its mask vectors once, in ascending order of their
+    queries, with no sort (``_query_order``). In ``protocol._queries``, each
+    h_e first appears at e's smaller holder, with sign +1 and no selector
+    (``_selector_key``), and every later entry is fixed by entries before
+    it: it is ``-h_e``, plus 1 at the selector. So two query tuples first
+    differ at a first appearance, and they sort as h does when h is read in
+    the order of those first appearances. The first h is zero, and its
+    queries are m. The first h at which a subset leaks gives its x, and the
+    subset's witness is built there. The visit stops once every subset
+    leaks. No outcome is listed; ``enumerated`` is the size of the table,
+    ``state_space_size``, for every subset.
     """
     pad_length = _resolve_pad_length(message_length, pad_length)
     total = _ensure_budget(graph, field, message_length, pad_length, budget)
-    targets = _resolve_targets(graph, targets)
     k, q = graph.n_edges, field.modulus
     pad_rows, message_rows = _answer_rows(graph, q)
     pad_columns = list(zip(*pad_rows))
+    masks = _query_order(graph, field)
     # the deciding slot variant, the last slot's: one without a pad if there is one
     padded = pad_length == message_length
 
@@ -686,26 +688,21 @@ def check_database_privacy(
         }
 
     results = []
-    for target in targets:
+    for target in _resolve_targets(graph, targets):
         subsets = [
             s for size in range(1, k)
             for s in itertools.combinations([e for e in range(1, k + 1) if e != target], size)
         ]
-        pending = set(subsets)
-        for _, rows in _mask_rows(graph, field, target, message_rows):
-            pending -= leaking(list(zip(*rows)), target, pending)
-        witnesses = {}
-        if len(pending) < len(subsets):
-            # queries determine h, so sorting them orders the h
-            masks = sorted((_queries(graph, q, target, c), c) for c in field.iter_vectors(k))
-            pending = set(subsets) - pending
-            for queries, coeffs in masks:
-                columns = list(zip(*message_rows(queries)))
-                for subset in leaking(columns, target, pending):
-                    witnesses[subset] = witness(target, subset, masks[0], (queries, coeffs))
-                pending -= witnesses.keys()
-                if not pending:
-                    break
+        pending, witnesses, first = set(subsets), {}, None
+        for mask in masks(target):
+            # the zero h, whose queries are the smallest
+            first = first or mask
+            leaked = leaking(list(zip(*message_rows(mask[0]))), target, pending)
+            for subset in leaked:
+                witnesses[subset] = witness(target, subset, first, mask)
+            pending -= leaked
+            if not pending:
+                break
         for subset in subsets:
             results.append(
                 CheckResult(
@@ -717,6 +714,35 @@ def check_database_privacy(
                 )
             )
     return results
+
+
+def _query_order(graph, field):
+    """Every mask vector h of one slot with its queries, in ascending order
+    of the queries: a function of the target that yields ``(queries,
+    coeffs)`` pairs.
+
+    ``protocol._queries`` lays out the servers' rows in turn, each over its
+    held edges in ascending order, so the first appearances of the h_e are
+    at each edge's smaller holder (``graph._incidence``), in server order.
+    ``field.iter_vectors`` lists h read in that order ascending, and each
+    reading is laid out as h again; ``check_database_privacy`` proves that
+    its queries then ascend. The order does not depend on the target, so it
+    is worked out once. Every h is a vector of field elements, so its
+    queries are built unchecked.
+    """
+    k = graph.n_edges
+    first = [e for held, signs in graph._incidence for e, sign in zip(held, signs) if sign == 1]
+    # h_e sits at position[e - 1] of the reading; an itemgetter of one
+    # index returns the bare item, and one edge needs no reordering
+    position = sorted(range(k), key=first.__getitem__)
+    layout = operator.itemgetter(*position) if k > 1 else tuple
+
+    def masks(target):
+        for reading in field.iter_vectors(k):
+            coeffs = layout(reading)
+            yield _queries(graph, field.modulus, target, coeffs), coeffs
+
+    return masks
 
 
 def _rank(vectors, q) -> int:

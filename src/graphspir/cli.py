@@ -365,8 +365,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write {cfg.output}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    with out as fh:
-        _emit(payload, cfg.fmt, fh)
+    try:
+        with out as fh:
+            _emit(payload, cfg.fmt, fh)
+            fh.flush()
+    except BrokenPipeError:
+        # the reader stopped reading: end quietly, and send the interpreter's
+        # last flush to devnull ("Note on SIGPIPE" in Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

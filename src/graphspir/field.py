@@ -11,19 +11,19 @@ from dataclasses import dataclass
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
 # for every n below this bound (Sorenson & Webster, "Strong pseudoprimes to
-# twelve prime bases", 2017).
+# twelve prime bases", 2017). No exact test above it is fast enough, so
+# PrimeField refuses moduli from the bound up.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(n: int) -> bool:
+    """Exact for ``n < _MR_EXACT_BELOW``."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n >= _MR_EXACT_BELOW:
-        return _is_prime_by_trial_division(n)
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -41,16 +41,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _is_prime_by_trial_division(n: int) -> bool:
-    """Exact for odd ``n``; the fallback above the Miller-Rabin bound."""
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 @dataclass(frozen=True)
 class PrimeField:
     """The field of integers modulo a prime."""
@@ -60,6 +50,8 @@ class PrimeField:
     def __post_init__(self):
         if not isinstance(self.modulus, int) or isinstance(self.modulus, bool):
             raise ValueError(f"field modulus must be an int, got {self.modulus!r}")
+        if self.modulus >= _MR_EXACT_BELOW:
+            raise ValueError(f"field modulus must be below {_MR_EXACT_BELOW}, got {self.modulus}")
         if not _is_prime(self.modulus):
             raise ValueError(f"field modulus must be prime, got {self.modulus}")
 

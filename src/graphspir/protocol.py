@@ -123,15 +123,16 @@ def init_system(
 
     ``pad_length`` defaults to ``message_length`` (one fresh pad symbol per
     message symbol); smaller values leave the trailing symbol slots bare and
-    exist to demonstrate that database privacy then breaks.
+    exist to demonstrate that database privacy then breaks. The drawn
+    symbols are field elements by construction, so they are placed
+    unchecked.
     """
     pad_length = _resolve_pad_length(message_length, pad_length)
-    messages = []
-    pads = []
-    for _ in range(graph.n_edges):
-        messages.append(field.sample_vector(rng, message_length))
-        pads.append(field.sample_vector(rng, pad_length))
-    return state_from_values(graph, field, message_length, messages, pads)
+    messages, pads = zip(*[
+        (field.sample_vector(rng, message_length), field.sample_vector(rng, pad_length))
+        for _ in range(graph.n_edges)
+    ])
+    return SystemState(graph, field, message_length, pad_length, _place(graph, messages, pads))
 
 
 def _selector_key(graph: Graph, server: int, target: int):

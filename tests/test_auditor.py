@@ -28,6 +28,7 @@ from graphspir import (
     CheckResult,
     ExactDistribution,
     PrimeField,
+    build_graph,
     check_database_privacy,
     check_reliability,
     check_user_privacy,
@@ -43,6 +44,7 @@ from graphspir import (
 )
 from graphspir.auditor import (
     _query_counts,
+    _query_order,
     _rank,
     _reliability_witness,
     _view_counts,
@@ -52,6 +54,10 @@ from graphspir.protocol import ServerStore, _answer_slot, _selector_key, gen_que
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+
+# edges out of order: the first appearances of the mask coefficients in the
+# queries, edge by edge at each smaller holder, are 2, 5, 3, 6, 1, 4
+UNSORTED = build_graph(5, [(3, 5), (1, 4), (2, 3), (4, 5), (1, 2), (2, 5)])
 
 
 @dataclass(frozen=True)
@@ -710,7 +716,26 @@ ORACLE_CASES = {
     # two slots: the witness holds the smallest query in the first
     "path3-L2-no-pads": (path_graph(3), F2, 2, 0, 2),
     "path3-q3-L2-one-pad": (path_graph(3), F3, 2, 1, 2),
+    # the queries ascend in an order of h other than its edge order
+    "unsorted-no-pads": (UNSORTED, F2, 1, 0, 186),
 }
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [path_graph(3), cycle_graph(5), star_graph(4), paw_graph(), complete_graph(4), UNSORTED],
+    ids=["path3", "cycle5", "star4", "paw", "complete4", "unsorted"],
+)
+@pytest.mark.parametrize("field", [F2, F3], ids=["q2", "q3"])
+def test_query_order_lists_every_mask_vector_with_ascending_queries(graph, field):
+    """Database privacy's witnesses rest on this layout fact: the mask
+    vectors come out once each, in strictly ascending order of queries."""
+    masks = _query_order(graph, field)
+    for target in range(1, graph.n_edges + 1):
+        listed = list(masks(target))
+        assert sorted(coeffs for _, coeffs in listed) == list(field.iter_vectors(graph.n_edges))
+        assert all(a < b for (a, _), (b, _) in itertools.pairwise(listed))
+        assert all(queries == gen_queries(graph, field, target, c) for queries, c in listed)
 
 
 class TestDatabasePrivacyOracle:
@@ -764,6 +789,26 @@ class TestWorkCount:
         assert set(calls) == {2, 3}
         # a test per subset and mask vector would be q^K·(2^(K-1) - 1) = 480
         assert 0 < calls.count(3) <= q**k * (k - 1)
+
+    def test_database_privacy_builds_each_query_tuple_at_most_once(self, monkeypatch):
+        built = []
+        queries = auditor._queries
+
+        def counted(graph, q, target, coeffs):
+            built.append(coeffs)
+            return queries(graph, q, target, coeffs)
+
+        monkeypatch.setattr(auditor, "_queries", counted)
+        q, k = 2, 5
+        results = check_database_privacy(cycle_graph(k), F2, 1, pad_length=0, targets=[1])
+        assert not all(c.passed for c in results)
+        # one visit in ascending query order; a second, sorted pass to find
+        # the witnesses would build all q^K = 32 again
+        assert 0 < len(built) <= q**k
+        built.clear()
+        results = check_database_privacy(cycle_graph(k), F2, 1, targets=[1])
+        assert all(c.passed for c in results)
+        assert len(built) == q**k
 
     def test_passing_reliability_never_walks_the_messages(self, monkeypatch):
         lengths = []

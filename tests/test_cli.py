@@ -3,7 +3,11 @@
 import contextlib
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -397,6 +401,25 @@ class TestOutputModes:
         assert hashlib.sha256(destination.read_bytes()).hexdigest() == (
             "b5093c46cfbcfa62f51087d329a54a1c67ffe6d47a57102e89cf1b69c9c4a6f2"
         )
+
+    def test_closed_pipe_ends_the_output_quietly(self):
+        """A reader that stops early, as ``| head -c 100`` does, ends the
+        output with the command's own exit code and no traceback."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        child = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from graphspir.cli import main; sys.exit(main())",
+             "run", "--family", "complete", "--n", "12", "--q", "5", "--length", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        # the whole output is 474 KB, more than a pipe buffers
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == EXIT_OK
+        assert b"Traceback" not in err
 
     def test_text_format(self, capsys):
         code, out, _ = run_cli(

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+import graphspir.field as field_module
 from graphspir import PrimeField
+from graphspir.field import _MR_EXACT_BELOW
 
 
 class TestArithmetic:
@@ -117,8 +119,23 @@ class TestPrimality:
         assert PrimeField(2**61 - 1).modulus == 2**61 - 1
 
     def test_composite_above_the_exact_bound_rejected(self):
-        # no factor among the Miller-Rabin bases, so trial division decides
+        # no factor among the Miller-Rabin bases; the bound alone refuses it
         assert not _accepts(43 * 47**15)
+
+    @pytest.mark.parametrize("q", [2**89 - 1, _MR_EXACT_BELOW])
+    def test_modulus_from_the_exact_bound_up_rejected_untested(self, q, monkeypatch):
+        # 2^89 - 1 is prime, but no exact test of it is fast enough, so the
+        # bound refuses it before any primality test runs
+        def untested(n):
+            raise AssertionError(f"tested the primality of {n}")
+
+        monkeypatch.setattr(field_module, "_is_prime", untested)
+        with pytest.raises(ValueError, match=f"below {_MR_EXACT_BELOW}"):
+            PrimeField(q)
+
+    def test_largest_prime_below_the_exact_bound_accepted(self):
+        q = next(n for n in range(_MR_EXACT_BELOW - 2, 0, -2) if _accepts(n))
+        assert _MR_EXACT_BELOW - q < 10**4
 
     def test_agrees_with_trial_division_below_1e5(self):
         for q in range(10**5):

@@ -77,6 +77,22 @@ class TestInitSystem:
         with pytest.raises(ValueError):
             init_system(path_graph(3), F5, length, random.Random(0))
 
+    def test_checks_no_symbol_it_drew(self, monkeypatch):
+        checked = []
+        check = PrimeField.check
+        monkeypatch.setattr(
+            PrimeField, "check", lambda self, symbol: checked.append(symbol) or check(self, symbol)
+        )
+        graph = cycle_graph(4)
+        state = init_system(graph, F5, 3, random.Random(3), pad_length=2)
+        assert checked == []
+        draws = random.Random(3)
+        values = [(F5.sample_vector(draws, 3), F5.sample_vector(draws, 2)) for _ in range(4)]
+        messages, pads = zip(*values)
+        assert state == state_from_values(graph, F5, 3, messages, pads)
+        # the given symbols are checked: K·(L + L') of them
+        assert len(checked) == 4 * (3 + 2)
+
 
 class TestStateFromValues:
     def test_explicit_values_placed(self):
