@@ -81,8 +81,25 @@ class PrimeField:
         return total % self.modulus
 
     def sample_vector(self, rng, length: int) -> tuple[int, ...]:
-        """``length`` symbols drawn uniformly, deterministic given the rng's state."""
-        return tuple(rng.randrange(self.modulus) for _ in range(length))
+        """``length`` symbols drawn uniformly, deterministic given the rng's state.
+
+        Each symbol is a ``getrandbits`` draw of the modulus's bit length,
+        redrawn while it is not below the modulus. This is how
+        ``random.Random.randrange(modulus)`` draws, so the stream is the
+        same, without its per-call argument checks.
+        """
+        if not isinstance(length, int) or isinstance(length, bool) or length < 0:
+            raise ValueError(f"length must be an int >= 0, got {length!r}")
+        q = self.modulus
+        bits = q.bit_length()
+        getrandbits = rng.getrandbits
+        symbols = []
+        for _ in range(length):
+            r = getrandbits(bits)
+            while r >= q:
+                r = getrandbits(bits)
+            symbols.append(r)
+        return tuple(symbols)
 
     def elements(self) -> range:
         """All field elements in ascending order, each exactly once."""

@@ -9,6 +9,7 @@ message indexing of a user-supplied graph is stable.
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 
 def _is_index(x) -> bool:
@@ -22,6 +23,9 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        # lists or other sequences would make equal graphs compare unequal
+        # and leave the graph unhashable
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
         n = self.n_vertices
         if not isinstance(n, int) or n < 2:
             raise ValueError(f"need at least 2 vertices, got {n!r}")
@@ -83,6 +87,21 @@ class Graph:
             held[v - 1].append(k)
             signs[v - 1].append(-1)
         return tuple((tuple(h), tuple(s)) for h, s in zip(held, signs))
+
+    @cached_property
+    def _gather(self) -> tuple[itemgetter, ...]:
+        """Per vertex, a getter that reads a per-message tuple at its held
+        edges and returns those entries as a tuple, in held order.
+
+        Built once per graph on first use, like ``_incidence``. An
+        ``itemgetter`` of one index returns a bare entry, so a degree-1
+        vertex gets a one-entry slice instead.
+        """
+        return tuple(
+            itemgetter(*(k - 1 for k in held)) if len(held) > 1
+            else itemgetter(slice(held[0] - 1, held[0]))
+            for held, _ in self._incidence
+        )
 
     def degree(self, vertex: int) -> int:
         return len(self.incident_edges(vertex))

@@ -19,6 +19,8 @@ consumed per slot as well. Download is one symbol per server per slot.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
 from .field import PrimeField
 from .graph import Graph, _is_index
@@ -28,13 +30,34 @@ from .graph import Graph, _is_index
 class ServerStore:
     """Everything one server knows: its held message indices (ascending),
     the signs of its incidence-row entries, and its message and pad copies
-    aligned with those indices."""
+    aligned with those indices.
+
+    Two views that ``_answer_slot`` reads, the message columns and the pad
+    sums, are built once per store on first use. ``cached_property`` stores
+    them in the instance dict, outside the dataclass fields, so equality,
+    hashing and ``repr`` are unaffected.
+    """
 
     server: int
     held: tuple[int, ...]
     signs: tuple[int, ...]
     messages: tuple[tuple[int, ...], ...]
     pads: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """Per slot, the held messages' symbols in that slot."""
+        return tuple(zip(*self.messages))
+
+    @cached_property
+    def _pad_sums(self) -> tuple[int, ...]:
+        """Per slot, the signed sum of the held pads' symbols in that slot,
+        unreduced. A slot past a pad's length gets nothing from that pad."""
+        sums = [0] * len(self._columns)
+        for sign, pad in zip(self.signs, self.pads):
+            for slot, symbol in enumerate(pad[:len(sums)]):
+                sums[slot] += sign * symbol
+        return tuple(sums)
 
 
 @dataclass(frozen=True)
@@ -148,8 +171,12 @@ def _signed_query(signs, coeffs_held, position, q: int):
     """Unchecked core of ``gen_queries`` for one server: signs the held
     coefficients and adds 1 at the selector's ``position`` among them, if
     it is not None (``_selector_key``)."""
-    # +1 entries reuse the coefficient objects, which keeps long transcripts small
-    query = [c if sign == 1 else -c % q for sign, c in zip(signs, coeffs_held)]
+    # +1 entries reuse the coefficient objects, which keeps long transcripts
+    # small; a plain loop, since a comprehension runs in a frame of its own
+    query = list(coeffs_held)
+    for i, sign in enumerate(signs):
+        if sign == -1:
+            query[i] = -query[i] % q
     if position is not None:
         query[position] = (query[position] + 1) % q
     return tuple(query)
@@ -161,10 +188,10 @@ def _queries(graph: Graph, q: int, target: int, coeffs) -> tuple:
     _, larger = graph.edges[target - 1]
     position = _selector_key(graph, larger, target)
     return tuple(
-        _signed_query(
-            signs, [coeffs[k - 1] for k in held], position if server == larger else None, q
+        _signed_query(signs, gather(coeffs), position if server == larger else None, q)
+        for server, ((_, signs), gather) in enumerate(
+            zip(graph._incidence, graph._gather), start=1
         )
-        for server, (held, signs) in enumerate(graph._incidence, start=1)
     )
 
 
@@ -203,24 +230,21 @@ def _answer_slot(store: ServerStore, query, q: int, slot: int) -> int:
     linear, so an answer is the sum of the answers to unit vectors, each
     scaled by its symbol. The auditor builds every answer it checks from
     these parts.
+
+    The two sums are read from the store's cached views: the message column
+    of the slot, and the slot's signed pad sum, which is computed once per
+    store and, as the proof says, reads no query.
     """
-    total = 0
-    for c, message in zip(query, store.messages):
-        total += c * message[slot]
-    for sign, pad in zip(store.signs, store.pads):
-        if slot < len(pad):
-            total += sign * pad[slot]
-    return total % q
+    return (sum(map(mul, query, store._columns[slot])) + store._pad_sums[slot]) % q
 
 
 def _round_answers(stores, q: int, queries_per_slot) -> tuple[tuple[int, ...], ...]:
     """Every server's answer to per-slot queries, unchecked: one
     ``message_length``-symbol answer per store."""
+    # per server, its query in each slot
+    rows = tuple(zip(*queries_per_slot))
     return tuple(
-        tuple([
-            _answer_slot(store, queries[store.server - 1], q, t)
-            for t, queries in enumerate(queries_per_slot)
-        ])
+        tuple([_answer_slot(store, query, q, t) for t, query in enumerate(rows[store.server - 1])])
         for store in stores
     )
 

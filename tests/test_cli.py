@@ -277,6 +277,11 @@ STDOUT_DIGESTS = {
          "--format", "text"],
         "af517d61ec4cde2967766173d7cd3c0a35b5c726092f5d9c30a250b3fc55bde8",
     ),
+    # symbols drawn from a 17-bit modulus, where about half of all draws are redrawn
+    "run-cycle6-q65537-L3": (
+        ["run", "--family", "cycle", "--n", "6", "--q", "65537", "--length", "3", "--seed", "5"],
+        "04c506141863c593ea220ac1af087efea308120b89a881da92f09f14e5cf0584",
+    ),
     "capacity-cycle5": (
         ["capacity", "--family", "cycle", "--n", "5"],
         "c9aee21a2acabb1a546f21c841a477c4baec1d8432aedf626513cf45442e24c0",
@@ -285,7 +290,7 @@ STDOUT_DIGESTS = {
 
 
 class TestAuditDigests:
-    """The audit digests, three pinned ``run`` outputs and one ``capacity``."""
+    """The audit digests, four pinned ``run`` outputs and one ``capacity``."""
 
     @pytest.mark.parametrize("argv, digest", STDOUT_DIGESTS.values(), ids=STDOUT_DIGESTS.keys())
     def test_stdout_is_pinned(self, capsys, argv, digest):

@@ -172,6 +172,25 @@ class TestSampling:
         assert len(vec) == 6
         assert all(0 <= v < 3 for v in vec)
 
+    # just above a power of two (3, 5, 17, 257, 65537) about half of all
+    # draws are redrawn; the last is the largest prime below the exact bound
+    @pytest.mark.parametrize(
+        "q", [2, 3, 5, 17, 257, 65537, 2**31 - 1, 2**61 - 1, _MR_EXACT_BELOW - 168]
+    )
+    @pytest.mark.parametrize("length", [0, 1, 1000])
+    def test_draws_the_randrange_stream(self, q, length):
+        assert _accepts(q)
+        rng, reference = random.Random(q + length), random.Random(q + length)
+        drawn = PrimeField(q).sample_vector(rng, length)
+        assert drawn == tuple(reference.randrange(q) for _ in range(length))
+        assert rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("length", [-3, -1, True, False, 2.0, "3", None])
+    def test_bad_length_rejected(self, length):
+        # a negative length would give an empty vector, and True a length-1 one
+        with pytest.raises(ValueError, match="length must be an int >= 0"):
+            PrimeField(5).sample_vector(random.Random(0), length)
+
 
 class TestEnumeration:
     def test_elements_exactly_once(self):

@@ -6,6 +6,7 @@ import pytest
 
 from graphspir import (
     FAMILIES,
+    Graph,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -95,6 +96,18 @@ class TestBuildGraph:
     def test_too_few_vertices_rejected(self):
         with pytest.raises(ValueError):
             build_graph(1, [])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[(1, 2), (2, 3)], ([1, 2], [2, 3]), [[1, 2], (2, 3)]],
+        ids=["list-of-tuples", "tuple-of-lists", "list-of-mixed"],
+    )
+    def test_edge_sequences_normalized_to_tuples(self, edges):
+        graph = Graph(3, edges)
+        assert graph.edges == ((1, 2), (2, 3))
+        assert graph == path_graph(3)
+        assert hash(graph) == hash(path_graph(3))
+        assert {path_graph(3): "x"}[graph] == "x"
 
     def test_no_edges_rejected(self):
         with pytest.raises(ValueError):
@@ -259,6 +272,14 @@ class TestIncidenceIndex:
             assert graph._incidence[vertex - 1] == (held, signs)
             assert graph.incident_edges(vertex) == held
             assert graph.degree(vertex) == len(held)
+
+    @pytest.mark.parametrize("graph", INDEXED_GRAPHS.values(), ids=INDEXED_GRAPHS.keys())
+    def test_gather_reads_the_held_edges(self, graph):
+        # the path's ends and the star's leaves have degree 1
+        vector = tuple(range(100, 100 + graph.n_edges))
+        for vertex, gather in enumerate(graph._gather, start=1):
+            held = graph.incident_edges(vertex)
+            assert gather(vector) == tuple(vector[k - 1] for k in held)
 
     def test_equality_and_hash_ignore_the_index(self):
         indexed, fresh = cycle_graph(5), cycle_graph(5)

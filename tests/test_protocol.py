@@ -8,6 +8,8 @@ import pytest
 
 from graphspir import (
     PrimeField,
+    build_graph,
+    complete_graph,
     cycle_graph,
     decode,
     gen_queries,
@@ -20,6 +22,7 @@ from graphspir import (
     state_from_values,
     transcript_to_dict,
 )
+from graphspir.protocol import _answer_slot, _queries
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -217,6 +220,86 @@ class TestServerAnswer:
         state = state_from_values(path_graph(3), F5, 2, ((1, 2), (3, 4)), ((2,), (1,)))
         with pytest.raises(ValueError, match=r"slot must be an int in 0\.\.1"):
             server_answer_slot(state.stores[0], (1,), F5, slot)
+
+
+def _plain_loop_answer(store, query, q, slot):
+    """The answer as a loop over the store's fields, building no view."""
+    total = 0
+    for c, message in zip(query, store.messages):
+        total += c * message[slot]
+    for sign, pad in zip(store.signs, store.pads):
+        if slot < len(pad):
+            total += sign * pad[slot]
+    return total % q
+
+
+ANSWERED_GRAPHS = {
+    "path3": path_graph(3),
+    "star5": star_graph(5),
+    "complete4": complete_graph(4),
+    "unsorted": build_graph(5, [(3, 5), (1, 4), (2, 3), (4, 5), (1, 2), (2, 5)]),
+}
+
+
+class TestCachedStoreViews:
+    """``_answer_slot`` reads the message columns and pad sums that a store
+    caches on first use."""
+
+    @pytest.mark.parametrize("graph", ANSWERED_GRAPHS.values(), ids=ANSWERED_GRAPHS.keys())
+    @pytest.mark.parametrize("q", [2, 5, 65537])
+    def test_answer_agrees_with_the_plain_loop(self, graph, q):
+        field = PrimeField(q)
+        rng = random.Random(q)
+        for length in (1, 2, 3):
+            for pad_length in range(length + 1):
+                state = init_system(graph, field, length, rng, pad_length=pad_length)
+                for store, slot in itertools.product(state.stores, range(length)):
+                    degree = len(store.held)
+                    queries = [(0,) * degree] + [field.sample_vector(rng, degree) for _ in range(3)]
+                    for query in queries:
+                        expected = _plain_loop_answer(store, query, q, slot)
+                        assert _answer_slot(store, query, q, slot) == expected
+
+    def test_caches_leave_equality_hash_and_repr(self):
+        answered = init_system(star_graph(5), F5, 2, random.Random(1), pad_length=1).stores
+        fresh = init_system(star_graph(5), F5, 2, random.Random(1), pad_length=1).stores
+        reprs, hashes = [repr(s) for s in fresh], [hash(s) for s in fresh]
+        for store in answered:
+            for slot in range(2):
+                _answer_slot(store, (1,) * len(store.held), 5, slot)
+            assert {"_columns", "_pad_sums"} <= vars(store).keys()
+        assert answered == fresh
+        assert [repr(s) for s in answered] == reprs
+        assert [hash(s) for s in answered] == hashes
+        assert {store: n for n, store in enumerate(fresh)} == {
+            store: n for n, store in enumerate(answered)
+        }
+
+
+def _reference_queries(graph, q, target, coeffs):
+    """Each server's query, read off the graph's public incidence."""
+    _, larger = graph.message_holders(target)
+    queries = []
+    for server in range(1, graph.n_vertices + 1):
+        row = []
+        for k in graph.incident_edges(server):
+            smaller, _ = graph.message_holders(k)
+            entry = coeffs[k - 1] if server == smaller else -coeffs[k - 1] % q
+            if k == target and server == larger:
+                entry = (entry + 1) % q
+            row.append(entry)
+        queries.append(tuple(row))
+    return tuple(queries)
+
+
+@pytest.mark.parametrize("graph", [path_graph(3), star_graph(5)], ids=["path3", "star5"])
+def test_queries_match_the_incidence_reference(graph):
+    # the path's ends and the star's leaves hold one message each
+    for target in range(1, graph.n_edges + 1):
+        for coeffs in F3.iter_vectors(graph.n_edges):
+            queries = _queries(graph, 3, target, coeffs)
+            assert queries == _reference_queries(graph, 3, target, coeffs)
+            assert all(type(query) is tuple for query in queries)
 
 
 class TestSignCancellation:
