@@ -48,105 +48,95 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunConfig:
+    """One command's inputs; these field defaults are the CLI's only defaults."""
+
     command: str
-    family: str | None
-    n: int | None
-    degree: int | None
-    edge_list: str | None
-    modulus: int
-    message_length: int
-    target: str
-    seed: int
-    budget: int
-    degrade_pads: bool
-    fmt: str
-    output: str | None
+    family: str | None = None
+    n: int | None = None
+    degree: int | None = None
+    edge_list: str | None = None
+    modulus: int = 0
+    message_length: int = 1
+    target: str = "all"
+    seed: int = 0
+    budget: int = DEFAULT_BUDGET
+    degrade_pads: bool = False
+    fmt: str = "json"
+    output: str | None = None
+
+
+def _positive_int(raw: str) -> int:
+    """The check on ``--length``, ``--budget`` and ``GRAPH_SPIR_BUDGET``."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+    return value
 
 
 def _env_budget() -> int:
-    raw = os.environ.get("GRAPH_SPIR_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
     try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-        return value
-    except ValueError:
-        raise UsageError(f"GRAPH_SPIR_BUDGET must be a positive integer, got {raw!r}")
+        return _positive_int(os.environ["GRAPH_SPIR_BUDGET"])
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"GRAPH_SPIR_BUDGET {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="graphspir", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_field=True):
+    def add_command(name, summary, needs_field=True):
+        # a flag that is not given leaves its RunConfig field at its default
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         source = p.add_argument_group("graph source")
         source.add_argument("--family", choices=FAMILIES, help="generated topology")
         source.add_argument("--n", type=int, help="vertex count for --family")
         source.add_argument("--d", type=int, dest="degree", help="degree for --family regular")
         source.add_argument("--edge-list", help="path to an edge-list file (first line 'N K', then 'u v' lines, '#' comments)")
         if needs_field:
-            p.add_argument("--q", type=int, required=True, help="prime field modulus")
-            p.add_argument("--length", type=int, default=1, help="symbols per message (default 1)")
+            p.add_argument("--q", type=int, required=True, dest="modulus", metavar="Q", help="prime field modulus")
+            p.add_argument(
+                "--length", type=_positive_int, dest="message_length", metavar="LENGTH",
+                help="symbols per message (default 1)",
+            )
             p.add_argument(
                 "--theta",
-                default="all",
+                dest="target",
+                metavar="THETA",
                 help=(
                     "target message index, or 'all' (default); for audits this "
                     "restricts reliability and database privacy, while user "
                     "privacy always compares every target"
                 ),
             )
-            p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
-            p.add_argument("--budget", type=int, default=None, help="audit outcome budget (default GRAPH_SPIR_BUDGET or 2**24)")
-        p.add_argument("--format", choices=("json", "text"), default="json", dest="fmt")
+        p.add_argument("--format", choices=("json", "text"), dest="fmt")
         p.add_argument("--output", help="write the report here instead of stdout")
+        return p
 
-    run_p = sub.add_parser("run", help="execute retrieval rounds and verify decoding")
-    add_common(run_p)
+    run_p = add_command("run", "execute retrieval rounds and verify decoding")
+    run_p.add_argument("--seed", type=int, help="rng seed (default 0)")
 
-    audit_p = sub.add_parser("audit", help="exhaustively audit reliability and both privacy constraints")
-    add_common(audit_p)
+    audit_p = add_command("audit", "exhaustively audit reliability and both privacy constraints")
+    audit_p.add_argument(
+        "--budget", type=_positive_int,
+        help="outcome budget (default GRAPH_SPIR_BUDGET or 2**24)",
+    )
     audit_p.add_argument(
         "--degrade-pads",
         action="store_true",
         help="audit the zero-pad scheme instead; expects database privacy to fail while reliability holds",
     )
 
-    cap_p = sub.add_parser("capacity", help="report exact rate and capacity values")
-    add_common(cap_p, needs_field=False)
-
+    add_command("capacity", "report exact rate and capacity values", needs_field=False)
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    flag_budget = getattr(args, "budget", None)
-    if flag_budget is not None and flag_budget < 1:
-        raise UsageError(f"--budget must be a positive integer, got {flag_budget}")
-    message_length = getattr(args, "length", 1)
-    if message_length < 1:
-        raise UsageError(f"--length must be >= 1, got {message_length}")
-    return RunConfig(
-        command=args.command,
-        family=getattr(args, "family", None),
-        n=getattr(args, "n", None),
-        degree=getattr(args, "degree", None),
-        edge_list=getattr(args, "edge_list", None),
-        modulus=getattr(args, "q", 0),
-        message_length=message_length,
-        target=str(getattr(args, "theta", "all")),
-        seed=getattr(args, "seed", 0),
-        budget=flag_budget if flag_budget is not None else _env_budget(),
-        degrade_pads=getattr(args, "degrade_pads", False),
-        fmt=args.fmt,
-        output=args.output,
-    )
-
-
 def _load_graph(cfg: RunConfig) -> tuple[Graph, str]:
-    if cfg.family and cfg.edge_list:
-        raise UsageError("give either --family or --edge-list, not both")
+    for flag, value in (("--family", cfg.family), ("--n", cfg.n), ("--d", cfg.degree)):
+        if cfg.edge_list and value is not None:
+            raise UsageError(f"give either {flag} or --edge-list, not both")
     if cfg.family:
         if cfg.n is None:
             raise UsageError("--family needs --n")
@@ -346,13 +336,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-        if cfg.command == "run":
-            code, payload = cmd_run(cfg)
-        elif cfg.command == "audit":
-            code, payload = cmd_audit(cfg)
-        else:
-            code, payload = cmd_capacity(cfg)
+        if args.command == "audit" and "budget" not in args and "GRAPH_SPIR_BUDGET" in os.environ:
+            args.budget = _env_budget()
+        cfg = RunConfig(**vars(args))
+        command = {"run": cmd_run, "audit": cmd_audit, "capacity": cmd_capacity}[cfg.command]
+        code, payload = command(cfg)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -151,8 +151,16 @@ def build_graph(n_vertices: int, edges) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def _check_counts(**counts):
+    """A vertex count or a degree is an int, not a bool, str or float."""
+    for name, value in counts.items():
+        if not _is_index(value):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def path_graph(n: int) -> Graph:
     """Path on ``n`` vertices: edges (1,2), (2,3), ..., (n-1, n)."""
+    _check_counts(n=n)
     if n < 2:
         raise ValueError(f"a path needs at least 2 vertices, got {n}")
     return Graph(n, tuple((v, v + 1) for v in range(1, n)))
@@ -165,6 +173,7 @@ def cycle_graph(n: int) -> Graph:
     message ``n`` between servers ``1`` and ``n``, so message indices follow
     the ring.
     """
+    _check_counts(n=n)
     if n < 3:
         raise ValueError(f"a cycle needs at least 3 vertices, got {n}")
     edges = [(v, v + 1) for v in range(1, n)]
@@ -174,6 +183,7 @@ def cycle_graph(n: int) -> Graph:
 
 def star_graph(n: int) -> Graph:
     """Star on ``n`` vertices with the hub at vertex ``n``."""
+    _check_counts(n=n)
     if n < 2:
         raise ValueError(f"a star needs at least 2 vertices, got {n}")
     return Graph(n, tuple((v, n) for v in range(1, n)))
@@ -181,6 +191,7 @@ def star_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     """Complete graph on ``n`` vertices, edges in lexicographic order."""
+    _check_counts(n=n)
     if n < 2:
         raise ValueError(f"a complete graph needs at least 2 vertices, got {n}")
     return Graph(n, tuple((u, v) for u in range(1, n) for v in range(u + 1, n + 1)))
@@ -193,6 +204,7 @@ def regular_graph(n: int, degree: int) -> Graph:
     sides of a ring; when the degree is odd (which forces ``n`` even) the
     antipodal edge is added. Edges come out in lexicographic order.
     """
+    _check_counts(n=n, degree=degree)
     if degree < 1:
         raise ValueError(f"degree must be positive, got {degree}")
     if degree >= n:
@@ -214,7 +226,10 @@ FAMILIES = ("path", "cycle", "star", "complete", "regular")
 
 
 def from_family(family: str, n: int, degree=None) -> Graph:
-    """Build the canonical member of a named family."""
+    """Build the canonical member of a named family. Only the regular
+    family takes a degree, and it needs one."""
+    if family != "regular" and degree is not None:
+        raise ValueError(f"only the regular family takes a degree, got {degree!r} for {family!r}")
     if family == "path":
         return path_graph(n)
     if family == "cycle":

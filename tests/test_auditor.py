@@ -15,6 +15,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -655,9 +656,17 @@ class TestDatabasePrivacy:
         assert peak < 3 * 2**20
 
 
+def _tuple_getter(indices):
+    """``itemgetter(*indices)``, returning a tuple for one index or none too."""
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices) if indices else (lambda seq: ())
+
+
 def _reference_database_privacy(graph, field, message_length, pad_length=None):
     """The tabulation as first written: every outcome tuple-keyed, one
-    ``independence_witness`` per subset."""
+    ``independence_witness`` per subset. Each subset's keys are read with
+    getters built once per subset."""
     if pad_length is None:
         pad_length = message_length
     k = graph.n_edges
@@ -669,21 +678,18 @@ def _reference_database_privacy(graph, field, message_length, pad_length=None):
         others = [e for e in range(1, k + 1) if e != target]
         for size in range(1, len(others) + 1):
             for subset in itertools.combinations(others, size):
-                pairs = Counter()
-                for messages, pads, coeffs, queries, answers in realizations:
-                    left = tuple(messages[e - 1] for e in subset)
-                    right = (
-                        answers,
-                        queries,
-                        tuple(pads[e - 1] for e in range(1, k + 1) if e not in subset),
-                        tuple(
-                            messages[e - 1]
-                            for e in range(1, k + 1)
-                            if e not in subset and e != target
-                        ),
-                        coeffs,
+                left = _tuple_getter([e - 1 for e in subset])
+                unread_pads = _tuple_getter([e - 1 for e in range(1, k + 1) if e not in subset])
+                unread_messages = _tuple_getter(
+                    [e - 1 for e in range(1, k + 1) if e not in subset and e != target]
+                )
+                pairs = Counter(
+                    (
+                        left(messages),
+                        (answers, queries, unread_pads(pads), unread_messages(messages), coeffs),
                     )
-                    pairs[(left, right)] += 1
+                    for messages, pads, coeffs, queries, answers in realizations
+                )
                 witness = independence_witness(
                     ExactDistribution(dict(pairs), len(realizations))
                 )

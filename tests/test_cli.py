@@ -13,7 +13,7 @@ import pytest
 
 import graphspir.cli as cli
 import graphspir.protocol as protocol
-from graphspir import AuditReport, CheckResult
+from graphspir import DEFAULT_BUDGET, AuditReport, CheckResult
 from graphspir.cli import EXIT_BUDGET, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 
 
@@ -323,6 +323,77 @@ class TestEnvironmentBudget:
         )
         assert code == EXIT_USAGE
         assert "GRAPH_SPIR_BUDGET" in err
+
+
+class TestFlagsPerCommand:
+    """Each command accepts only the flags it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "--family", "path", "--n", "3", "--q", "2", "--seed", "1"],
+            ["run", "--family", "path", "--n", "3", "--q", "2", "--budget", "5"],
+        ],
+        ids=["audit-seed", "run-budget"],
+    )
+    def test_a_flag_the_command_ignores_is_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ")
+        assert argv[-2] in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--family", "path", "--n", "3", "--q", "5", "--seed", "7"],
+            ["capacity", "--family", "cycle", "--n", "5"],
+        ],
+        ids=["run", "capacity"],
+    )
+    def test_only_audit_reads_the_budget_variable(self, capsys, monkeypatch, argv):
+        # audit refuses this value: TestEnvironmentBudget.test_invalid_env_value
+        plain = run_cli(capsys, argv)
+        monkeypatch.setenv("GRAPH_SPIR_BUDGET", "lots")
+        assert run_cli(capsys, argv) == plain
+        assert plain[0] == EXIT_OK
+
+    @pytest.mark.parametrize("flag", [["--n", "7"], ["--d", "4"]])
+    @pytest.mark.parametrize("command", [["capacity"], ["run", "--q", "5"], ["audit", "--q", "2"]])
+    def test_family_flags_with_an_edge_list_are_refused(self, capsys, tmp_path, command, flag):
+        listing = tmp_path / "p3.edges"
+        listing.write_text("3 2\n1 2\n2 3\n")
+        code, out, err = run_cli(capsys, [*command, "--edge-list", str(listing), *flag])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: give either {flag[0]} or --edge-list")
+
+    def test_a_degree_outside_the_regular_family_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, ["capacity", "--family", "cycle", "--n", "5", "--d", "3"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "only the regular family takes a degree" in err
+
+    def test_cmd_run_takes_the_benchmark_config(self):
+        """The keyword config that ``bench/climix.py`` hands ``cmd_run``
+        writes what ``main`` writes for the same command line."""
+        config = cli.RunConfig(
+            command="run", family="complete", n=30, degree=None, edge_list=None,
+            modulus=65521, message_length=2, target="all", seed=1,
+            budget=DEFAULT_BUDGET, degrade_pads=False, fmt="json", output=None,
+        )
+        code, payload = cli.cmd_run(config)
+        direct = _HashingSink()
+        cli._emit(payload, config.fmt, direct)
+        assert code == EXIT_OK
+        through_main = _HashingSink()
+        with contextlib.redirect_stdout(through_main):
+            code = main(["run", "--family", "complete", "--n", "30", "--q", "65521",
+                         "--length", "2", "--seed", "1"])
+        assert code == EXIT_OK
+        assert direct.digest.hexdigest() == through_main.digest.hexdigest() == (
+            "e50c05c85e8f13721dcea2d2a0d384f38d0e08f9be476c74afe5ad211f717bbb"
+        )
 
 
 class TestCapacityCommand:

@@ -345,6 +345,24 @@ class TestGenerators:
         with pytest.raises(ValueError):
             from_family("regular", 4)  # degree required
 
+    @pytest.mark.parametrize("family", ["path", "cycle", "star", "complete", "tree"])
+    def test_from_family_rejects_a_degree_outside_regular(self, family):
+        with pytest.raises(ValueError, match="only the regular family takes a degree"):
+            from_family(family, 6, 3)
+
+    @pytest.mark.parametrize("n", ["3", 2.5, 3.0, True, None])
+    @pytest.mark.parametrize("generator", [path_graph, cycle_graph, star_graph, complete_graph])
+    def test_generators_reject_a_non_int_count(self, generator, n):
+        with pytest.raises(ValueError, match="n must be an int"):
+            generator(n)
+
+    @pytest.mark.parametrize("n, degree", [(4, 3.0), (4, "3"), (4, True), ("4", 3), (4.0, 3)])
+    def test_regular_rejects_a_non_int_count(self, n, degree):
+        with pytest.raises(ValueError, match="must be an int"):
+            regular_graph(n, degree)
+        with pytest.raises(ValueError, match="must be an int"):
+            from_family("regular", n, degree)
+
 
 class TestEdgeListFormat:
     def test_parse_basic(self):
