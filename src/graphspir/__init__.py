@@ -24,8 +24,6 @@ from .capacity import (
     CapacityReport,
     achievable_rate,
     capacity_report,
-    is_cycle,
-    is_path,
     pir_reference,
     spir_capacity,
 )

@@ -11,6 +11,7 @@ of the problem are tabulated for paths (``2/N``) and cycles (``2/(N+1)``).
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import Graph
 
@@ -20,16 +21,49 @@ def achievable_rate(g: Graph) -> Fraction:
     return Fraction(1, g.n_vertices)
 
 
-def is_path(g: Graph) -> bool:
-    """Structurally a path: connected with exactly two degree-1 endpoints
-    and every other vertex of degree 2."""
-    degrees = Counter(g.degree(v) for v in range(1, g.n_vertices + 1))
-    return degrees[1] == 2 and degrees[2] == g.n_vertices - 2
+_TRIVIAL = "single-message system: retrieval is trivial"
+_EXACT_REGULAR = "exact: matching upper bound known for regular graphs"
+_UNKNOWN = (
+    "unknown: no matching upper bound for this topology; "
+    "the achievable rate is a lower bound"
+)
+_UNTABULATED = "no tabulated value for this topology"
 
 
-def is_cycle(g: Graph) -> bool:
-    """Structurally a cycle: connected and 2-regular."""
-    return g.is_regular() == 2
+class _Topology(NamedTuple):
+    capacity: Fraction | None
+    capacity_note: str
+    pir_reference: Fraction | None
+    pir_note: str
+
+
+def _topology(g: Graph) -> _Topology:
+    """``g``'s capacity values and notes, read from its topology class.
+
+    The five classes do not overlap on a connected graph: two servers (a
+    single edge, so retrieval is trivial), a cycle (2-regular), any other
+    regular graph, a path (two vertices of degree 1, the rest of degree 2)
+    and the rest. A path on three or more vertices has degrees 1 and 2
+    both, so it is never regular.
+    """
+    n = g.n_vertices
+    if n == 2:
+        return _Topology(Fraction(1), _TRIVIAL, Fraction(1), _TRIVIAL)
+    degree = g.is_regular()
+    if degree == 2:
+        return _Topology(
+            Fraction(1, n), _EXACT_REGULAR,
+            Fraction(2, n + 1), "tabulated cycle value; symmetric capacity exceeds half of it",
+        )
+    if degree is not None:
+        return _Topology(Fraction(1, n), _EXACT_REGULAR, None, _UNTABULATED)
+    degrees = Counter(g.degree(v) for v in range(1, n + 1))
+    if degrees[1] == 2 and degrees[2] == n - 2:
+        return _Topology(
+            Fraction(1, n), "exact: matching upper bound known for paths",
+            Fraction(2, n), "tabulated path value; symmetric capacity is exactly half of it",
+        )
+    return _Topology(None, _UNKNOWN, None, _UNTABULATED)
 
 
 def spir_capacity(g: Graph):
@@ -40,11 +74,7 @@ def spir_capacity(g: Graph):
     the capacity is 1. Returns None for every other topology — the scheme's
     ``1/N`` is then only a lower bound.
     """
-    if g.n_vertices == 2:
-        return Fraction(1)
-    if is_path(g) or g.is_regular() is not None:
-        return Fraction(1, g.n_vertices)
-    return None
+    return _topology(g).capacity
 
 
 def pir_reference(g: Graph):
@@ -54,13 +84,7 @@ def pir_reference(g: Graph):
     symmetric capacity is exactly half of this; on cycles it is strictly
     larger than half (``1/N > 1/(N+1)``).
     """
-    if g.n_vertices == 2:
-        return Fraction(1)
-    if is_cycle(g):
-        return Fraction(2, g.n_vertices + 1)
-    if is_path(g):
-        return Fraction(2, g.n_vertices)
-    return None
+    return _topology(g).pir_reference
 
 
 @dataclass(frozen=True)
@@ -99,37 +123,12 @@ def _render(value):
 
 
 def capacity_report(g: Graph, graph_name: str = "graph") -> CapacityReport:
-    capacity = spir_capacity(g)
-    if g.n_vertices == 2:
-        capacity_note = "single-message system: retrieval is trivial"
-    elif capacity is None:
-        capacity_note = (
-            "unknown: no matching upper bound for this topology; "
-            "the achievable rate is a lower bound"
-        )
-    elif is_path(g):
-        capacity_note = "exact: matching upper bound known for paths"
-    else:
-        capacity_note = "exact: matching upper bound known for regular graphs"
-
-    pir = pir_reference(g)
-    if g.n_vertices == 2:
-        pir_note = "single-message system: retrieval is trivial"
-    elif pir is None:
-        pir_note = "no tabulated value for this topology"
-    elif is_cycle(g):
-        pir_note = "tabulated cycle value; symmetric capacity exceeds half of it"
-    else:
-        pir_note = "tabulated path value; symmetric capacity is exactly half of it"
-
     return CapacityReport(
         graph_name=graph_name,
         n_servers=g.n_vertices,
         n_messages=g.n_edges,
         achievable_rate=achievable_rate(g),
-        capacity=capacity,
-        capacity_note=capacity_note,
-        pir_reference=pir,
-        pir_note=pir_note,
         regular_degree=g.is_regular(),
+        # the capacity, the PIR reference and their notes
+        **_topology(g)._asdict(),
     )

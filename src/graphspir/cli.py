@@ -65,15 +65,22 @@ class RunConfig:
     output: str | None = None
 
 
-def _positive_int(raw: str) -> int:
-    """The check on ``--length``, ``--budget`` and ``GRAPH_SPIR_BUDGET``."""
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
-    return value
+def _int_at_least(low: int, kind: str):
+    """An argparse type: an int of at least ``low``, or a refusal that calls
+    for a ``kind`` integer."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {raw!r}")
+        return value
+    return parse
+
+
+# the check on --length, --budget and GRAPH_SPIR_BUDGET
+_positive_int = _int_at_least(1, "positive")
 
 
 def _env_budget() -> int:
@@ -116,7 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     run_p = add_command("run", "execute retrieval rounds and verify decoding")
-    run_p.add_argument("--seed", type=int, help="rng seed (default 0)")
+    # random.Random seeds from a negative int's absolute value, so -1 would
+    # replay the rounds of 1
+    run_p.add_argument("--seed", type=_int_at_least(0, "non-negative"), help="rng seed (default 0)")
 
     audit_p = add_command("audit", "exhaustively audit reliability and both privacy constraints")
     audit_p.add_argument(
@@ -141,10 +150,9 @@ def _load_graph(cfg: RunConfig) -> tuple[Graph, str]:
         if cfg.n is None:
             raise UsageError("--family needs --n")
         graph = from_family(cfg.family, cfg.n, cfg.degree)
-        name = f"{cfg.family}-{cfg.n}"
-        if cfg.family == "regular":
-            name += f"-d{cfg.degree}"
-        return graph, name
+        # from_family took a degree only for a family that needs one
+        degree = "" if cfg.degree is None else f"-d{cfg.degree}"
+        return graph, f"{cfg.family}-{cfg.n}{degree}"
     if cfg.edge_list:
         try:
             with open(cfg.edge_list) as fh:

@@ -47,7 +47,9 @@ class Graph:
             seen.add((u, v))
         if not self.edges:
             raise ValueError("graph has no edges")
-        if not self._connected():
+        # a connected graph has at least n - 1 edges; refusing fewer here
+        # keeps a huge declared N from building per-vertex structures
+        if len(self.edges) < n - 1 or not self._connected():
             raise ValueError("graph is not connected")
 
     def _connected(self) -> bool:
@@ -222,7 +224,10 @@ def regular_graph(n: int, degree: int) -> Graph:
     return Graph(n, tuple(sorted(edges)))
 
 
-FAMILIES = ("path", "cycle", "star", "complete", "regular")
+# each named family's generator; only regular_graph takes a degree
+_GENERATORS = dict(path=path_graph, cycle=cycle_graph, star=star_graph,
+                   complete=complete_graph, regular=regular_graph)
+FAMILIES = tuple(_GENERATORS)
 
 
 def from_family(family: str, n: int, degree=None) -> Graph:
@@ -230,19 +235,12 @@ def from_family(family: str, n: int, degree=None) -> Graph:
     family takes a degree, and it needs one."""
     if family != "regular" and degree is not None:
         raise ValueError(f"only the regular family takes a degree, got {degree!r} for {family!r}")
-    if family == "path":
-        return path_graph(n)
-    if family == "cycle":
-        return cycle_graph(n)
-    if family == "star":
-        return star_graph(n)
-    if family == "complete":
-        return complete_graph(n)
-    if family == "regular":
-        if degree is None:
-            raise ValueError("the regular family needs a degree")
-        return regular_graph(n, degree)
-    raise ValueError(f"unknown family {family!r} (expected one of {FAMILIES})")
+    if family == "regular" and degree is None:
+        raise ValueError("the regular family needs a degree")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r} (expected one of {FAMILIES})")
+    generator = _GENERATORS[family]
+    return generator(n) if degree is None else generator(n, degree)
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,17 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from formula_oracles import paw_graph
 from graphspir import (
+    Graph,
     PrimeField,
     achievable_rate,
     capacity_report,
     complete_graph,
     cycle_graph,
     init_system,
-    is_cycle,
-    is_path,
     path_graph,
     pir_reference,
     regular_graph,
@@ -37,18 +38,56 @@ class TestAchievableRate:
             assert measured == achievable_rate(graph)
 
 
+def _notes(graph):
+    report = capacity_report(graph)
+    return report.capacity_note, report.pir_note
+
+
 class TestTopologyClassification:
     def test_paths(self):
-        assert is_path(path_graph(2))
-        assert is_path(path_graph(5))
-        assert not is_path(cycle_graph(4))
-        assert not is_path(star_graph(4))
+        # a path's tabulated reference is 2/N; at N = 2 that is the trivial 1
+        assert pir_reference(path_graph(2)) == Fraction(2, 2)
+        assert pir_reference(path_graph(5)) == Fraction(2, 5)
+        assert "paths" in _notes(path_graph(5))[0]
+        assert "path value" in _notes(path_graph(5))[1]
+        assert pir_reference(cycle_graph(4)) == Fraction(2, 5)
+        assert "paths" not in _notes(cycle_graph(4))[0]
+        assert spir_capacity(star_graph(4)) is None
+        assert "path" not in _notes(star_graph(4))[1]
 
     def test_cycles(self):
-        assert is_cycle(cycle_graph(3))
-        assert is_cycle(regular_graph(6, 2))
-        assert not is_cycle(path_graph(3))
-        assert not is_cycle(complete_graph(4))  # regular but degree 3
+        assert pir_reference(cycle_graph(3)) == Fraction(2, 4)
+        assert pir_reference(regular_graph(6, 2)) == Fraction(2, 7)
+        assert "cycle value" in _notes(regular_graph(6, 2))[1]
+        assert pir_reference(path_graph(3)) == Fraction(2, 3)
+        assert "cycle" not in _notes(path_graph(3))[1]
+        # regular but degree 3: exact capacity, no tabulated reference
+        assert pir_reference(complete_graph(4)) is None
+        assert spir_capacity(complete_graph(4)) == Fraction(1, 4)
+        assert "regular graphs" in _notes(complete_graph(4))[0]
+
+    @pytest.mark.parametrize(
+        "graph", [path_graph(5), cycle_graph(5), star_graph(5), complete_graph(5)],
+        ids=["path-5", "cycle-5", "star-5", "complete-5"],
+    )
+    def test_a_report_classifies_once(self, monkeypatch, graph):
+        # the path test reads each vertex's degree once, so one path test
+        # is at most N degree reads
+        calls = {"degree": 0, "is_regular": 0}
+
+        def counted(name):
+            method = getattr(Graph, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(Graph, name, counted(name))
+        capacity_report(graph)
+        assert calls["degree"] <= graph.n_vertices
+        assert calls["is_regular"] <= 2
 
 
 class TestSpirCapacity:

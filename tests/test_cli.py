@@ -374,6 +374,24 @@ class TestFlagsPerCommand:
         assert out == ""
         assert "only the regular family takes a degree" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_a_negative_seed_is_refused(self, capsys, fmt):
+        # random.Random(-1) draws what random.Random(1) draws
+        code, out, err = run_cli(
+            capsys, ["run", "--family", "path", "--n", "3", "--q", "5", "--seed", "-1",
+                     "--format", fmt],
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "--seed" in err
+
+    def test_seed_zero_is_the_default(self, capsys):
+        argv = ["run", "--family", "path", "--n", "3", "--q", "5"]
+        default = run_cli(capsys, argv)
+        assert default[0] == EXIT_OK
+        assert run_cli(capsys, [*argv, "--seed", "0"]) == default
+
     def test_cmd_run_takes_the_benchmark_config(self):
         """The keyword config that ``bench/climix.py`` hands ``cmd_run``
         writes what ``main`` writes for the same command line."""
@@ -394,6 +412,126 @@ class TestFlagsPerCommand:
         assert direct.digest.hexdigest() == through_main.digest.hexdigest() == (
             "e50c05c85e8f13721dcea2d2a0d384f38d0e08f9be476c74afe5ad211f717bbb"
         )
+
+
+# capacity edge lists, written under their bare names so the "graph" field
+# does not depend on the test's directory
+CAPACITY_EDGE_LISTS = {
+    "paw.edges": "4 4\n1 2\n1 3\n2 3\n3 4\n",
+    "tree5.edges": "5 4\n1 2\n1 3\n3 4\n3 5\n",
+    "k22.edges": "4 4\n1 3\n1 4\n2 3\n2 4\n",
+    "path4-reversed.edges": "4 3\n2 1\n3 2\n4 3\n",
+}
+
+
+def _capacity_argv(key):
+    if key in CAPACITY_EDGE_LISTS:
+        return ["--edge-list", key]
+    family, n, *degree = key.split("-")
+    return ["--family", family, "--n", n, *(["--d", degree[0][1:]] if degree else [])]
+
+
+# sha256 of ``capacity`` stdout as (JSON, text), for every topology class:
+# trivial, path, cycle, other regular and the rest, from families and files
+CAPACITY_DIGESTS = {
+    "path-2": (
+        "774c043a254ba7cc659a079d7ec19d6f707b41ce92836abaf608da5c1f6066f1",
+        "6ded426308a5aaf332f4fb58fad0220185e62ff964c804ee2368e6683dd02daf",
+    ),
+    "path-3": (
+        "c81d537b3fbfa014e0feb9f368e822accb974ad738aed5d841334c97dbff53e8",
+        "33b3a9271539381ea7d53d0447a218d319e9a30cbc56cc5782ecdbc3a285de73",
+    ),
+    "path-7": (
+        "8af1d6518193d55bd405d40e0113628e93bc9b1b9cab01843a8d4f468794ec78",
+        "aabaeecc6a163d7df835aeaf41dbb78c0170ed7254528bc3df87835719a1ca28",
+    ),
+    "cycle-3": (
+        "ee22f5a70af06ce2027d8a8f28c0a79ab497c06cb78d1863bde0be58ec89b6a5",
+        "f81b26c035f93b7391800a9f80de0be2f2e154d562b45388396917317f1d370c",
+    ),
+    "cycle-4": (
+        "6bca7f09822989da450c8f27fd4f8007e4685942a7329d8e0bbe57833b3abada",
+        "a2fc763495b4eb4b891fe7364c2055b756f2286e43634ea66d040cec846650c8",
+    ),
+    "cycle-9": (
+        "835887364ab081edc406406f1e17fa3f482b9fba4d2168da5311dd40b0337b5d",
+        "a1deacdfa02cb25ee2f8695a847a1e992b527f36f7767b618176a48bf9ca40c6",
+    ),
+    "star-3": (
+        "773b6f507efd0cbb7b4f57c0733f0e360acf8abacdd58dcf57bec45de9cd3cd4",
+        "71acbb7f3d8b14941a02dfc89d91fba4e281e50d90a4b9e53befb3fc047c9f83",
+    ),
+    "star-4": (
+        "3c794e3e3906ec23dd120a6abc48cebe060d1f0e1904fcb46c04003fa7587b90",
+        "07ee57ad9991c52ede17b2d0234d94ec3bb084c864315c96cada70e13688bc9e",
+    ),
+    "star-6": (
+        "61baa63babfdd1839bfdffabf9aef7b94e77009f787b9ed7e5dbd8ec2a4d94ed",
+        "fdce654acc9aec3394bbe0abf9afad264f0bfb0e40e063f45263c045137e8d1e",
+    ),
+    "complete-2": (
+        "2d9beec45976f754d05d49818d2098567954e8787675c79428d76433998c5a96",
+        "44a5969a16dfb2dd780b0096824cfccac67f1f8b259a6a09170a830f6272a7fb",
+    ),
+    "complete-3": (
+        "383c144785dffb80481b2f286adc0f00b2eaa53f317973d30c75efbbdce102c1",
+        "16cfb2c296d10531111e652809f6c98f93fe8230b31884670ec70e409c8b9908",
+    ),
+    "complete-4": (
+        "e04718fc60dd545839a638f7155b7e4216b66945c85e3db8313d2312f54ccd21",
+        "32ec4e2ffcc8c176e3b11c111fdc13a53e8ebeea9d9d36180035aaafb32d038d",
+    ),
+    "complete-8": (
+        "d2df0ab43af1319df5476a336835df781d7760ed78b084987b2af4cedccf4397",
+        "3e98c6919b9955a3cbb410a110dd75eee1af793f39a910c10f2a1c148d6176e4",
+    ),
+    "regular-6-d2": (
+        "9f590aa2e340d0b560f38b4ed660d22a1919686c8b44a22f54a8af9b75fe1d84",
+        "e352f28ec389ae6e669f51acce6fbf16d5eb6213c6a1b6ba510a07cb6a2f9d94",
+    ),
+    "regular-6-d3": (
+        "dd5e54ed22343ffe19cf105a313df20c981e3eca14d9062599f37f19046a5ae1",
+        "76b120a4b4f5a27b1f7007b1c980bb582f4c54f0d6f97f02ef35b849590196e5",
+    ),
+    "regular-8-d4": (
+        "8f1972d47d45d0ff239c68a68fe3fdfe9684d1e35bf78d5e34816f5ceb0836c8",
+        "52695be6068167b3537f5bfad88693edcf533df5d958eab97989867316b0d82c",
+    ),
+    "regular-10-d5": (
+        "3231102858d24032d1c492f7a66b2a236edcac29d3f61af5f23c94c3892fa911",
+        "3af6f0813809fda8194755230b6e47745f393c0e39b5fd2eb9e4ba94b8279599",
+    ),
+    "paw.edges": (
+        "fb746da1877e944e185fc4929fa0b63d40d1cbfaed7f048b8b03d2fdef81dac4",
+        "6404d17dd7c435e19c770b7d98843d813602f8f32c63623f72f9af8e156133ec",
+    ),
+    "tree5.edges": (
+        "d99b07c076212d408c865bb71009937bf415d35ae7488adbfd681f707afca21a",
+        "356e22ac99581bafb7f5aef3e3cbd21ba61901a48ac86d11e7bacbee4e995bff",
+    ),
+    "k22.edges": (
+        "6965d0694725087ec1f6cfce4d222308b0329d310adacd76e5b70f8fc8b6c6c0",
+        "7f2d18ca30ba893b4bd3337051bf4270a67de1737b9b34a56dd1babb07e3fc3c",
+    ),
+    "path4-reversed.edges": (
+        "1a13b35a20faf6ad94055851b852be94afd1d7837b9ab911143e719ed4f774b0",
+        "bf3f9b500d38385a75072c826fd0ce6606a4b1ffa5f60748f09ea5f2231915cb",
+    ),
+}
+
+
+class TestCapacityDigests:
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("key", CAPACITY_DIGESTS)
+    def test_stdout_is_pinned(self, capsys, monkeypatch, tmp_path, key, fmt):
+        monkeypatch.chdir(tmp_path)
+        for name, text in CAPACITY_EDGE_LISTS.items():
+            (tmp_path / name).write_text(text)
+        code, out, _ = run_cli(capsys, ["capacity", *_capacity_argv(key), "--format", fmt])
+        assert code == EXIT_OK
+        digest = CAPACITY_DIGESTS[key][fmt == "text"]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCapacityCommand:

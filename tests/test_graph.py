@@ -1,6 +1,7 @@
 """Graph model: construction guards, incidence matrices, families, edge lists."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -92,6 +93,20 @@ class TestBuildGraph:
     def test_isolated_vertex_rejected(self):
         with pytest.raises(ValueError):
             build_graph(3, [(1, 2)])
+
+    def test_too_few_edges_rejected_before_any_per_vertex_work(self):
+        # one edge cannot connect a million vertices; a per-vertex scan
+        # would allocate tens of MiB before saying so
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="graph is not connected"):
+                Graph(10**6, ((1, 2),))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(ValueError, match="graph is not connected"):
+            parse_edge_list("1000000 1\n1 2\n")
 
     def test_too_few_vertices_rejected(self):
         with pytest.raises(ValueError):

@@ -17,8 +17,8 @@ PACKAGE_NAMES = {
     "build_graph", "capacity_report", "check_database_privacy",
     "check_reliability", "check_user_privacy", "complete_graph",
     "cycle_graph", "decode", "from_family", "gen_queries", "init_system",
-    "is_cycle", "is_path", "iter_transcript_outcomes", "parse_edge_list",
-    "path_graph", "pir_reference", "regular_graph", "run_audit", "run_round",
+    "iter_transcript_outcomes", "parse_edge_list", "path_graph",
+    "pir_reference", "regular_graph", "run_audit", "run_round",
     "run_round_with_coeffs", "server_answer_slot", "server_view_table",
     "spir_capacity", "star_graph", "state_from_values", "state_space_size",
     "transcript_to_dict",
