@@ -11,7 +11,6 @@ from .auditor import (
     AuditReport,
     BudgetExceededError,
     CheckResult,
-    ExactDistribution,
     check_database_privacy,
     check_reliability,
     check_user_privacy,

@@ -72,25 +72,6 @@ class BudgetExceededError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# exact distributions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExactDistribution:
-    """A finite distribution held as integer counts over hashable outcomes."""
-
-    counts: dict
-    total: int
-
-    def __post_init__(self):
-        if self.total != sum(self.counts.values()):
-            raise ValueError("total does not match the sum of counts")
-        if any(c <= 0 for c in self.counts.values()):
-            raise ValueError("counts must be positive")
-
-
-# ---------------------------------------------------------------------------
 # exhaustive transcript enumeration
 # ---------------------------------------------------------------------------
 
@@ -363,15 +344,16 @@ def server_view_table(
     *,
     pad_length=None,
     mask_queries: bool = True,
-) -> ExactDistribution:
-    """Exact distribution of one server's view of a round.
+) -> dict:
+    """Exact count table ``{view: count}`` of one server's view of a round.
 
     The view is ``(queries per slot, answer, stored messages, stored
     pads)``. It is a function of only the variables on the server's own
     incident edges, and every other message, pad and coefficient scales all
     counts by one common factor, so enumerating the incident-edge variables
     reproduces the joint marginal exactly (up to that factor, which is the
-    same for every target).
+    same for every target). Every count is positive; the table's total is
+    the sum of its values.
 
     ``mask_queries=False`` sends the raw selector with no mask coefficients
     — a sabotaged scheme used as a negative control.
@@ -381,8 +363,7 @@ def server_view_table(
     graph._check_vertex(server)
     key = _selector_key(graph, server, target)
     queries = _query_counts(graph, field, message_length, server, key, mask_queries)
-    views = _view_counts(graph, field, message_length, pad_length, server, queries)
-    return ExactDistribution(views, sum(views.values()))
+    return _view_counts(graph, field, message_length, pad_length, server, queries)
 
 
 def _query_counts(graph, field, message_length, server, key, mask_queries) -> Counter:
@@ -789,9 +770,6 @@ class AuditReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
         return {

@@ -35,10 +35,12 @@ class _Topology(NamedTuple):
     capacity_note: str
     pir_reference: Fraction | None
     pir_note: str
+    regular_degree: int | None
 
 
 def _topology(g: Graph) -> _Topology:
-    """``g``'s capacity values and notes, read from its topology class.
+    """``g``'s capacity values and notes, read from its topology class,
+    and its regular degree (None unless every vertex has one degree).
 
     The five classes do not overlap on a connected graph: two servers (a
     single edge, so retrieval is trivial), a cycle (2-regular), any other
@@ -46,24 +48,25 @@ def _topology(g: Graph) -> _Topology:
     and the rest. A path on three or more vertices has degrees 1 and 2
     both, so it is never regular.
     """
-    n = g.n_vertices
+    n, degree = g.n_vertices, g.is_regular()
     if n == 2:
-        return _Topology(Fraction(1), _TRIVIAL, Fraction(1), _TRIVIAL)
-    degree = g.is_regular()
+        return _Topology(Fraction(1), _TRIVIAL, Fraction(1), _TRIVIAL, degree)
     if degree == 2:
         return _Topology(
             Fraction(1, n), _EXACT_REGULAR,
             Fraction(2, n + 1), "tabulated cycle value; symmetric capacity exceeds half of it",
+            degree,
         )
     if degree is not None:
-        return _Topology(Fraction(1, n), _EXACT_REGULAR, None, _UNTABULATED)
+        return _Topology(Fraction(1, n), _EXACT_REGULAR, None, _UNTABULATED, degree)
     degrees = Counter(g.degree(v) for v in range(1, n + 1))
     if degrees[1] == 2 and degrees[2] == n - 2:
         return _Topology(
             Fraction(1, n), "exact: matching upper bound known for paths",
             Fraction(2, n), "tabulated path value; symmetric capacity is exactly half of it",
+            degree,
         )
-    return _Topology(None, _UNKNOWN, None, _UNTABULATED)
+    return _Topology(None, _UNKNOWN, None, _UNTABULATED, degree)
 
 
 def spir_capacity(g: Graph):
@@ -115,11 +118,7 @@ class CapacityReport:
 
 def _render(value):
     """Rationals as exact ``p/q`` strings (integers keep a ``/1``-free form)."""
-    if value is None:
-        return None
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return None if value is None else str(value)
 
 
 def capacity_report(g: Graph, graph_name: str = "graph") -> CapacityReport:
@@ -128,7 +127,6 @@ def capacity_report(g: Graph, graph_name: str = "graph") -> CapacityReport:
         n_servers=g.n_vertices,
         n_messages=g.n_edges,
         achievable_rate=achievable_rate(g),
-        regular_degree=g.is_regular(),
-        # the capacity, the PIR reference and their notes
+        # the capacity, the PIR reference, their notes and the regular degree
         **_topology(g)._asdict(),
     )

@@ -108,6 +108,3 @@ class PrimeField:
     def iter_vectors(self, length: int):
         """Every length-``length`` vector over the field, lexicographically."""
         return itertools.product(self.elements(), repeat=length)
-
-    def __str__(self) -> str:
-        return f"F{self.modulus}"

@@ -23,18 +23,19 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        # lists or other sequences would make equal graphs compare unequal
-        # and leave the graph unhashable
-        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
         n = self.n_vertices
         if not isinstance(n, int) or n < 2:
             raise ValueError(f"need at least 2 vertices, got {n!r}")
-        seen = set()
+        edges, seen = [], set()
         for edge in self.edges:
-            if len(edge) != 2:
-                raise ValueError(f"edge {edge!r} is not a pair")
-            u, v = edge
-            if not all(_is_index(x) for x in edge):
+            # stored as tuples: lists or other sequences would make equal
+            # graphs compare unequal and leave the graph unhashable. An
+            # iterable edge is named as a tuple, anything else as given.
+            try:
+                edge = u, v = tuple(edge)
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {edge!r} is not a pair") from None
+            if not (_is_index(u) and _is_index(v)):
                 raise ValueError(f"edge {edge!r} has a non-integer endpoint")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge {edge} has an endpoint outside 1..{n}")
@@ -42,14 +43,16 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             if u > v:
                 raise ValueError(f"edge {edge} is not normalized (expected u < v)")
-            if (u, v) in seen:
+            if edge in seen:
                 raise ValueError(f"duplicate edge {edge}")
-            seen.add((u, v))
-        if not self.edges:
+            seen.add(edge)
+            edges.append(edge)
+        object.__setattr__(self, "edges", tuple(edges))
+        if not edges:
             raise ValueError("graph has no edges")
         # a connected graph has at least n - 1 edges; refusing fewer here
         # keeps a huge declared N from building per-vertex structures
-        if len(self.edges) < n - 1 or not self._connected():
+        if len(edges) < n - 1 or not self._connected():
             raise ValueError("graph is not connected")
 
     def _connected(self) -> bool:
@@ -141,10 +144,11 @@ def build_graph(n_vertices: int, edges) -> Graph:
     """Build a graph from possibly unordered edge pairs, preserving edge order."""
     normalized = []
     for edge in edges:
-        u, v = edge
-        if u > v:
-            u, v = v, u
-        normalized.append((u, v))
+        # swap only a pair of ints; ``Graph`` refuses anything else by name
+        match edge:
+            case (int(u), int(v)) if u > v:
+                edge = (v, u)
+        normalized.append(edge)
     return Graph(n_vertices, tuple(normalized))
 
 

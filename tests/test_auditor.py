@@ -27,7 +27,6 @@ from graphspir import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     CheckResult,
-    ExactDistribution,
     PrimeField,
     build_graph,
     check_database_privacy,
@@ -83,76 +82,61 @@ class IndependenceWitness:
         }
 
 
-def _pair_marginals(pairs: ExactDistribution):
+def _pair_marginals(pairs: Counter):
     left_counts = Counter()
     right_counts = Counter()
-    for (left, right), count in pairs.counts.items():
+    for (left, right), count in pairs.items():
         left_counts[left] += count
         right_counts[right] += count
     return left_counts, right_counts
 
 
-def independence_witness(pairs: ExactDistribution):
+def independence_witness(pairs: Counter):
     """First cell violating ``count(l,r)·total == count(l)·count(r)``, or None.
 
-    Outcomes of ``pairs`` must be ``(left, right)`` tuples. The scan covers
-    the full product of the two marginal supports, so a structurally missing
-    cell (joint count zero where both marginals are positive) is caught.
+    Outcomes of ``pairs`` must be ``(left, right)`` tuples, and ``total`` is
+    the sum of their counts. The scan covers the full product of the two
+    marginal supports, so a structurally missing cell (joint count zero
+    where both marginals are positive) is caught.
     This is the reference that ``check_database_privacy``'s closed-form
     witnesses are compared against.
     """
     left_counts, right_counts = _pair_marginals(pairs)
+    total = pairs.total()
     for left in sorted(left_counts):
         cl = left_counts[left]
         for right in sorted(right_counts):
             cr = right_counts[right]
-            if pairs.counts.get((left, right), 0) * pairs.total != cl * cr:
-                return IndependenceWitness(
-                    left, right, pairs.counts.get((left, right), 0), cl, cr, pairs.total
-                )
+            if pairs[left, right] * total != cl * cr:
+                return IndependenceWitness(left, right, pairs[left, right], cl, cr, total)
     return None
 
 
-def mutual_information_terms(pairs: ExactDistribution):
+def mutual_information_terms(pairs: Counter):
     """The mutual information as an exact sum of ``p * log2(ratio)`` terms.
 
     Returns ``(p, ratio)`` pairs of Fractions; the information is zero
     exactly when every ratio equals one, so no logarithm is ever evaluated.
     """
     left_counts, right_counts = _pair_marginals(pairs)
+    total = pairs.total()
     terms = []
-    for (left, right), count in sorted(pairs.counts.items()):
-        p = Fraction(count, pairs.total)
-        ratio = Fraction(count * pairs.total, left_counts[left] * right_counts[right])
+    for (left, right), count in sorted(pairs.items()):
+        p = Fraction(count, total)
+        ratio = Fraction(count * total, left_counts[left] * right_counts[right])
         terms.append((p, ratio))
     return terms
 
 
-def _distribution(outcomes):
-    """The exact distribution of a list of outcomes, one count each."""
-    counts = Counter(outcomes)
-    return ExactDistribution(dict(counts), sum(counts.values()))
-
-
-class TestExactDistribution:
-    def test_total_must_match(self):
-        with pytest.raises(ValueError):
-            ExactDistribution({"a": 2}, 3)
-
-    def test_counts_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ExactDistribution({"a": 2, "b": 0}, 2)
-
-
 class TestIndependenceVerdicts:
     def test_product_of_fair_bits_is_independent(self):
-        pairs = _distribution(
+        pairs = Counter(
             [(a, b) for a in (0, 1) for b in (0, 1)]
         )
         assert independence_witness(pairs) is None
 
     def test_correlated_pair_yields_witness(self):
-        pairs = _distribution([(0, 0), (1, 1)])
+        pairs = Counter([(0, 0), (1, 1)])
         witness = independence_witness(pairs)
         assert witness is not None
         assert witness.pair_count * witness.total != (
@@ -161,29 +145,29 @@ class TestIndependenceVerdicts:
 
     def test_structurally_missing_cell_caught(self):
         # both marginals put weight on 1, but (1, 1) never occurs
-        pairs = _distribution([(0, 0), (0, 1), (1, 0)])
+        pairs = Counter([(0, 0), (0, 1), (1, 0)])
         witness = independence_witness(pairs)
         assert witness is not None
 
     def test_biased_but_independent(self):
         outcomes = [(a, b) for a in (0, 0, 1) for b in (0, 1, 1)]
-        assert independence_witness(_distribution(outcomes)) is None
+        assert independence_witness(Counter(outcomes)) is None
 
     def test_information_terms_ratio_one_iff_independent(self):
-        product = _distribution(
+        product = Counter(
             [(a, b) for a in (0, 1) for b in (0, 1, 2)]
         )
         assert all(ratio == 1 for _, ratio in mutual_information_terms(product))
 
     def test_correlated_pair_carries_one_bit(self):
-        pairs = _distribution([(0, 0), (1, 1)])
+        pairs = Counter([(0, 0), (1, 1)])
         terms = mutual_information_terms(pairs)
         # one bit: each term is p * log2(ratio) = 1/2 * log2(2)
         assert terms == [(Fraction(1, 2), Fraction(2)), (Fraction(1, 2), Fraction(2))]
 
     def test_witness_to_dict(self):
         witness = independence_witness(
-            _distribution([(0, 0), (1, 1)])
+            Counter([(0, 0), (1, 1)])
         )
         record = witness.to_dict()
         assert set(record) == {
@@ -576,10 +560,8 @@ class TestServerViewTable:
         reduced = server_view_table(graph, F2, 1, target, server)
         scale = 2 ** ((graph.n_edges - len(held)) * 3)
         assert scale == 8
-        assert full.total() == reduced.total * scale
-        assert dict(full) == {
-            view: count * scale for view, count in reduced.counts.items()
-        }
+        assert full.total() == sum(reduced.values()) * scale
+        assert dict(full) == {view: count * scale for view, count in reduced.items()}
 
     def test_unmasked_tables_differ(self):
         with_selector = server_view_table(
@@ -690,9 +672,8 @@ def _reference_database_privacy(graph, field, message_length, pad_length=None):
                     )
                     for messages, pads, coeffs, queries, answers in realizations
                 )
-                witness = independence_witness(
-                    ExactDistribution(dict(pairs), len(realizations))
-                )
+                assert pairs.total() == len(realizations)
+                witness = independence_witness(pairs)
                 results.append(
                     CheckResult(
                         check="database-privacy",
@@ -879,7 +860,7 @@ def _reference_server_view_table(
                     for t in range(message_length)
                 )
                 table[(queries, answer, messages, pads)] += 1
-    return ExactDistribution(dict(table), sum(table.values()))
+    return table
 
 
 def _table_difference_witness(reference: Counter, other: Counter) -> dict:
@@ -909,13 +890,13 @@ def _reference_user_privacy(graph, field, message_length, pad_length=None, mask_
         for target in range(2, graph.n_edges + 1):
             witness = None
             if tables[target] != tables[1]:
-                witness = _table_difference_witness(tables[1].counts, tables[target].counts)
+                witness = _table_difference_witness(tables[1], tables[target])
             results.append(
                 CheckResult(
                     check="user-privacy",
                     instance={"server": server, "target": target, "reference": 1},
                     passed=witness is None,
-                    enumerated=tables[target].total,
+                    enumerated=tables[target].total(),
                     witness=witness,
                 )
             )
@@ -1057,7 +1038,7 @@ class TestSelectorKey:
                 shared = _view_counts(graph, F2, 1, 1, server, queries)
                 for target in targets:
                     fresh = _reference_server_view_table(graph, F2, 1, target, server, 1, mask)
-                    assert shared == fresh.counts
+                    assert shared == fresh
 
     def test_paw_keys(self):
         # server 3 holds edges 2, 3, 4 and is the larger holder of 2 and 3
@@ -1141,7 +1122,7 @@ class TestRunAudit:
     def test_ring_graph_full_audit(self):
         report = run_audit(cycle_graph(3), F3, 1, graph_name="cycle-3")
         assert report.all_passed
-        assert report.failures() == []
+        assert [c for c in report.checks if not c.passed] == []
         kinds = {}
         for check in report.checks:
             kinds[check.check] = kinds.get(check.check, 0) + 1
@@ -1168,7 +1149,7 @@ class TestRunAudit:
     def test_degraded_audit_fails_only_database_privacy(self):
         report = run_audit(path_graph(3), F2, 1, pad_length=0)
         assert not report.all_passed
-        assert {c.check for c in report.failures()} == {"database-privacy"}
+        assert {c.check for c in report.checks if not c.passed} == {"database-privacy"}
 
     def test_targets_restriction(self):
         report = run_audit(cycle_graph(3), F3, 1, targets=[2])

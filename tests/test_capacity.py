@@ -87,7 +87,7 @@ class TestTopologyClassification:
             monkeypatch.setattr(Graph, name, counted(name))
         capacity_report(graph)
         assert calls["degree"] <= graph.n_vertices
-        assert calls["is_regular"] <= 2
+        assert calls["is_regular"] <= 1
 
 
 class TestSpirCapacity:

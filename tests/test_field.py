@@ -92,9 +92,6 @@ class TestConstructionGuards:
         with pytest.raises(ValueError):
             PrimeField(2).check(4)
 
-    def test_str(self):
-        assert str(PrimeField(5)) == "F5"
-
 
 def _accepts(q: int) -> bool:
     try:

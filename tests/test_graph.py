@@ -86,6 +86,19 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="non-integer"):
             build_graph(3, [(True, 2), (2, 3)])
 
+    def test_malformed_edges_refused_by_name(self):
+        # each of these used to escape as a TypeError or an unpacking error
+        with pytest.raises(ValueError, match=r"^edge 1 is not a pair$"):
+            Graph(3, [1, 2])
+        with pytest.raises(ValueError, match=r"^edge 1 is not a pair$"):
+            build_graph(3, [1, 2])
+        with pytest.raises(ValueError, match=r"^edge \(3, '2'\) has a non-integer endpoint$"):
+            build_graph(3, [(2, 1), (3, "2")])
+        with pytest.raises(ValueError, match=r"^edge \(1, 2, 3\) is not a pair$"):
+            build_graph(3, [(1, 2, 3)])
+        with pytest.raises(ValueError, match=r"^edge \(1,\) is not a pair$"):
+            build_graph(3, [[1], (2, 3)])
+
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             build_graph(4, [(1, 2), (3, 4)])

@@ -8,11 +8,11 @@ import dataclasses
 import types
 
 import graphspir
-from graphspir import ExactDistribution, Graph, PrimeField, SystemState
+from graphspir import Graph, PrimeField, SystemState
 
 PACKAGE_NAMES = {
     "AuditReport", "BudgetExceededError", "CapacityReport", "CheckResult",
-    "DEFAULT_BUDGET", "ExactDistribution", "FAMILIES", "Graph", "PrimeField",
+    "DEFAULT_BUDGET", "FAMILIES", "Graph", "PrimeField",
     "RoundTranscript", "ServerStore", "SystemState", "achievable_rate",
     "build_graph", "capacity_report", "check_database_privacy",
     "check_reliability", "check_user_privacy", "complete_graph",
@@ -34,7 +34,6 @@ CLASS_NAMES = {
         "message_holders", "is_regular",
     },
     SystemState: {"graph", "field", "message_length", "pad_length", "stores", "message"},
-    ExactDistribution: {"counts", "total"},
 }
 
 
