@@ -11,7 +11,6 @@ of the problem are tabulated for paths (``2/N``) and cycles (``2/(N+1)``).
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .graph import Graph
 
@@ -30,45 +29,6 @@ _UNKNOWN = (
 _UNTABULATED = "no tabulated value for this topology"
 
 
-class _Topology(NamedTuple):
-    capacity: Fraction | None
-    capacity_note: str
-    pir_reference: Fraction | None
-    pir_note: str
-    regular_degree: int | None
-
-
-def _topology(g: Graph) -> _Topology:
-    """``g``'s capacity values and notes, read from its topology class,
-    and its regular degree (None unless every vertex has one degree).
-
-    The five classes do not overlap on a connected graph: two servers (a
-    single edge, so retrieval is trivial), a cycle (2-regular), any other
-    regular graph, a path (two vertices of degree 1, the rest of degree 2)
-    and the rest. A path on three or more vertices has degrees 1 and 2
-    both, so it is never regular.
-    """
-    n, degree = g.n_vertices, g.is_regular()
-    if n == 2:
-        return _Topology(Fraction(1), _TRIVIAL, Fraction(1), _TRIVIAL, degree)
-    if degree == 2:
-        return _Topology(
-            Fraction(1, n), _EXACT_REGULAR,
-            Fraction(2, n + 1), "tabulated cycle value; symmetric capacity exceeds half of it",
-            degree,
-        )
-    if degree is not None:
-        return _Topology(Fraction(1, n), _EXACT_REGULAR, None, _UNTABULATED, degree)
-    degrees = Counter(g.degree(v) for v in range(1, n + 1))
-    if degrees[1] == 2 and degrees[2] == n - 2:
-        return _Topology(
-            Fraction(1, n), "exact: matching upper bound known for paths",
-            Fraction(2, n), "tabulated path value; symmetric capacity is exactly half of it",
-            degree,
-        )
-    return _Topology(None, _UNKNOWN, None, _UNTABULATED, degree)
-
-
 def spir_capacity(g: Graph):
     """Exact symmetric-retrieval capacity, or None where no converse is known.
 
@@ -77,7 +37,7 @@ def spir_capacity(g: Graph):
     the capacity is 1. Returns None for every other topology — the scheme's
     ``1/N`` is then only a lower bound.
     """
-    return _topology(g).capacity
+    return capacity_report(g).capacity
 
 
 def pir_reference(g: Graph):
@@ -87,7 +47,7 @@ def pir_reference(g: Graph):
     symmetric capacity is exactly half of this; on cycles it is strictly
     larger than half (``1/N > 1/(N+1)``).
     """
-    return _topology(g).pir_reference
+    return capacity_report(g).pir_reference
 
 
 @dataclass(frozen=True)
@@ -122,11 +82,34 @@ def _render(value):
 
 
 def capacity_report(g: Graph, graph_name: str = "graph") -> CapacityReport:
-    return CapacityReport(
-        graph_name=graph_name,
-        n_servers=g.n_vertices,
-        n_messages=g.n_edges,
-        achievable_rate=achievable_rate(g),
-        # the capacity, the PIR reference, their notes and the regular degree
-        **_topology(g)._asdict(),
-    )
+    """``g``'s rate, its capacity values and notes, and its regular degree
+    (None unless every vertex has one degree), all read from one count of
+    vertex degrees.
+
+    The five classes do not overlap on a connected graph: two servers (a
+    single edge, so retrieval is trivial), a cycle (2-regular), any other
+    regular graph, a path (two vertices of degree 1, the rest of degree 2)
+    and the rest. A path on three or more vertices has degrees 1 and 2
+    both, so it is never regular.
+    """
+    n = g.n_vertices
+    degrees = Counter(len(held) for held, _ in g._incidence)
+    degree = next(iter(degrees)) if len(degrees) == 1 else None
+    # the capacity, its note, the PIR reference and its note
+    if n == 2:
+        values = Fraction(1), _TRIVIAL, Fraction(1), _TRIVIAL
+    elif degree == 2:
+        values = (
+            Fraction(1, n), _EXACT_REGULAR,
+            Fraction(2, n + 1), "tabulated cycle value; symmetric capacity exceeds half of it",
+        )
+    elif degree is not None:
+        values = Fraction(1, n), _EXACT_REGULAR, None, _UNTABULATED
+    elif degrees == {1: 2, 2: n - 2}:
+        values = (
+            Fraction(1, n), "exact: matching upper bound known for paths",
+            Fraction(2, n), "tabulated path value; symmetric capacity is exactly half of it",
+        )
+    else:
+        values = None, _UNKNOWN, None, _UNTABULATED
+    return CapacityReport(graph_name, n, g.n_edges, achievable_rate(g), *values, degree)

@@ -1,8 +1,10 @@
-"""Arithmetic over prime fields.
+"""Prime fields: validation, sampling and enumeration.
 
-Symbols are plain ints in ``[0, modulus)``; the field object carries the
-modulus and validates operands, so a symbol that belongs to a different
-field (or is not reduced) is rejected instead of silently wrapped.
+Symbols are plain ints in ``[0, modulus)``. The field object carries the
+modulus, validates symbols (one that belongs to a different field, or is not
+reduced, is rejected instead of silently wrapped), samples uniform vectors
+and enumerates every vector of a length. Arithmetic is written mod q where it
+is used, in the protocol and the auditor.
 """
 
 import itertools
@@ -65,21 +67,6 @@ class PrimeField:
             )
         return symbol
 
-    def add(self, a: int, b: int) -> int:
-        return (self.check(a) + self.check(b)) % self.modulus
-
-    def neg(self, a: int) -> int:
-        return -self.check(a) % self.modulus
-
-    def mul(self, a: int, b: int) -> int:
-        return (self.check(a) * self.check(b)) % self.modulus
-
-    def sum(self, symbols) -> int:
-        total = 0
-        for s in symbols:
-            total += self.check(s)
-        return total % self.modulus
-
     def sample_vector(self, rng, length: int) -> tuple[int, ...]:
         """``length`` symbols drawn uniformly, deterministic given the rng's state.
 
@@ -101,10 +88,6 @@ class PrimeField:
             symbols.append(r)
         return tuple(symbols)
 
-    def elements(self) -> range:
-        """All field elements in ascending order, each exactly once."""
-        return range(self.modulus)
-
     def iter_vectors(self, length: int):
         """Every length-``length`` vector over the field, lexicographically."""
-        return itertools.product(self.elements(), repeat=length)
+        return itertools.product(range(self.modulus), repeat=length)

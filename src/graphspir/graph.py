@@ -17,6 +17,15 @@ def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _iter_edges(edges):
+    """An iterator over an edge collection, which is refused by name if it is
+    not iterable at all."""
+    try:
+        return iter(edges)
+    except TypeError:
+        raise ValueError(f"edges must be an iterable of pairs, got {edges!r}") from None
+
+
 @dataclass(frozen=True)
 class Graph:
     n_vertices: int
@@ -27,7 +36,7 @@ class Graph:
         if not isinstance(n, int) or n < 2:
             raise ValueError(f"need at least 2 vertices, got {n!r}")
         edges, seen = [], set()
-        for edge in self.edges:
+        for edge in _iter_edges(self.edges):
             # stored as tuples: lists or other sequences would make equal
             # graphs compare unequal and leave the graph unhashable. An
             # iterable edge is named as a tuple, anything else as given.
@@ -124,13 +133,6 @@ class Graph:
         self._check_edge(k)
         return self.edges[k - 1]
 
-    def is_regular(self):
-        """The common degree if every vertex has the same one, else None."""
-        degrees = {len(held) for held, _ in self._incidence}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
-
     def _check_vertex(self, vertex: int):
         if not (_is_index(vertex) and 1 <= vertex <= self.n_vertices):
             raise ValueError(f"no vertex {vertex!r} (graph has 1..{self.n_vertices})")
@@ -143,7 +145,7 @@ class Graph:
 def build_graph(n_vertices: int, edges) -> Graph:
     """Build a graph from possibly unordered edge pairs, preserving edge order."""
     normalized = []
-    for edge in edges:
+    for edge in _iter_edges(edges):
         # swap only a pair of ints; ``Graph`` refuses anything else by name
         match edge:
             case (int(u), int(v)) if u > v:

@@ -275,7 +275,8 @@ def decode(field: PrimeField, answers) -> tuple[int, ...]:
     for a in answers:
         if len(a) != length:
             raise ValueError("answers disagree on symbol count")
-    return tuple(field.sum(a[t] for a in answers) for t in range(length))
+    check, q = field.check, field.modulus
+    return tuple(sum(check(a[t]) for a in answers) % q for t in range(length))
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ class ClosedFormSystem:
     def queries(self, field: PrimeField, h: tuple, theta: int) -> tuple:
         rows = [list(row) for row in self.base_queries(field, h)]
         server, position = self.selector[theta]
-        rows[server - 1][position] = field.add(rows[server - 1][position], 1)
+        rows[server - 1][position] = (rows[server - 1][position] + 1) % field.modulus
         return tuple(tuple(row) for row in rows)
 
     def answers(
@@ -60,82 +60,79 @@ class ClosedFormSystem:
     ) -> tuple:
         out = list(self.base_answers(field, h, w, r))
         server, _ = self.selector[theta]
-        out[server - 1] = field.add(out[server - 1], w[theta - 1])
+        out[server - 1] = (out[server - 1] + w[theta - 1]) % field.modulus
         return tuple(out)
 
 
 def _path3_queries(f: PrimeField, h: tuple) -> tuple:
+    q = f.modulus
     h1, h2 = h
-    return ((h1,), (f.neg(h1), h2), (f.neg(h2),))
+    return ((h1,), (-h1 % q, h2), (-h2 % q,))
 
 
 def _path3_answers(f: PrimeField, h: tuple, w: tuple, r: tuple) -> tuple:
+    q = f.modulus
     (h1, h2), (w1, w2), (r1, r2) = h, w, r
     return (
-        f.sum((f.mul(h1, w1), r1)),
-        f.sum((f.neg(f.mul(h1, w1)), f.mul(h2, w2), f.neg(r1), r2)),
-        f.sum((f.neg(f.mul(h2, w2)), f.neg(r2))),
+        (h1 * w1 + r1) % q,
+        (-h1 * w1 + h2 * w2 - r1 + r2) % q,
+        (-h2 * w2 - r2) % q,
     )
 
 
 def _cycle3_queries(f: PrimeField, h: tuple) -> tuple:
+    q = f.modulus
     h1, h2, h3 = h
-    return ((h1, h3), (f.neg(h1), h2), (f.neg(h2), f.neg(h3)))
+    return ((h1, h3), (-h1 % q, h2), (-h2 % q, -h3 % q))
 
 
 def _cycle3_answers(f: PrimeField, h: tuple, w: tuple, r: tuple) -> tuple:
+    q = f.modulus
     (h1, h2, h3), (w1, w2, w3), (r1, r2, r3) = h, w, r
     return (
-        f.sum((f.mul(h1, w1), f.mul(h3, w3), r1, r3)),
-        f.sum((f.neg(f.mul(h1, w1)), f.mul(h2, w2), f.neg(r1), r2)),
-        f.sum((f.neg(f.mul(h2, w2)), f.neg(f.mul(h3, w3)), f.neg(r2), f.neg(r3))),
+        (h1 * w1 + h3 * w3 + r1 + r3) % q,
+        (-h1 * w1 + h2 * w2 - r1 + r2) % q,
+        (-h2 * w2 - h3 * w3 - r2 - r3) % q,
     )
 
 
 def _star4_queries(f: PrimeField, h: tuple) -> tuple:
+    q = f.modulus
     h1, h2, h3 = h
-    return ((h1,), (h2,), (h3,), (f.neg(h1), f.neg(h2), f.neg(h3)))
+    return ((h1,), (h2,), (h3,), (-h1 % q, -h2 % q, -h3 % q))
 
 
 def _star4_answers(f: PrimeField, h: tuple, w: tuple, r: tuple) -> tuple:
+    q = f.modulus
     (h1, h2, h3), (w1, w2, w3), (r1, r2, r3) = h, w, r
-    hub = f.neg(
-        f.sum((f.mul(h1, w1), f.mul(h2, w2), f.mul(h3, w3), r1, r2, r3))
-    )
+    hub = -(h1 * w1 + h2 * w2 + h3 * w3 + r1 + r2 + r3) % q
     return (
-        f.sum((f.mul(h1, w1), r1)),
-        f.sum((f.mul(h2, w2), r2)),
-        f.sum((f.mul(h3, w3), r3)),
+        (h1 * w1 + r1) % q,
+        (h2 * w2 + r2) % q,
+        (h3 * w3 + r3) % q,
         hub,
     )
 
 
 def _paw_queries(f: PrimeField, h: tuple) -> tuple:
+    q = f.modulus
     h1, h2, h3, h4 = h
     return (
         (h1, h2),
-        (f.neg(h1), h3),
-        (f.neg(h2), f.neg(h3), h4),
-        (f.neg(h4),),
+        (-h1 % q, h3),
+        (-h2 % q, -h3 % q, h4),
+        (-h4 % q,),
     )
 
 
 def _paw_answers(f: PrimeField, h: tuple, w: tuple, r: tuple) -> tuple:
+    q = f.modulus
     (h1, h2, h3, h4), (w1, w2, w3, w4), (r1, r2, r3, r4) = h, w, r
     return (
-        f.sum((f.mul(h1, w1), f.mul(h2, w2), r1, r2)),
-        f.sum((f.neg(f.mul(h1, w1)), f.mul(h3, w3), f.neg(r1), r3)),
-        f.sum(
-            (
-                f.neg(f.mul(h2, w2)),
-                f.neg(f.mul(h3, w3)),
-                f.mul(h4, w4),
-                f.neg(r2),
-                f.neg(r3),
-                r4,
-            )
-        ),
-        f.sum((f.neg(f.mul(h4, w4)), f.neg(r4))),
+        (h1 * w1 + h2 * w2 + r1 + r2) % q,
+        (-h1 * w1 + h3 * w3 - r1 + r3) % q,
+        (-h2 * w2 - h3 * w3 + h4 * w4 - r2 - r3 + r4) % q,
+        (-h4 * w4 - r4) % q,
     )
 
 

@@ -286,11 +286,22 @@ STDOUT_DIGESTS = {
         ["capacity", "--family", "cycle", "--n", "5"],
         "c9aee21a2acabb1a546f21c841a477c4baec1d8432aedf626513cf45442e24c0",
     ),
+    # audits rendered as text, where each check's instance is a nested mapping
+    "path3-degraded-text": (
+        ["audit", "--family", "path", "--n", "3", "--q", "2", "--degrade-pads",
+         "--format", "text"],
+        "ebb1a26bb3be37abd14daa718e228079a85161152edc67413d0653ba08768f71",
+    ),
+    "cycle4-text": (
+        ["audit", "--family", "cycle", "--n", "4", "--q", "2", "--format", "text"],
+        "687dea53d841ff901ebc5aa8ac95332e55d4aabc5c139a0888855e0d2a4900b5",
+    ),
 }
 
 
 class TestAuditDigests:
-    """The audit digests, four pinned ``run`` outputs and one ``capacity``."""
+    """The audit digests (two as text), four pinned ``run`` outputs and one
+    ``capacity``."""
 
     @pytest.mark.parametrize("argv, digest", STDOUT_DIGESTS.values(), ids=STDOUT_DIGESTS.keys())
     def test_stdout_is_pinned(self, capsys, argv, digest):
@@ -566,6 +577,12 @@ class TestCapacityCommand:
         )
         assert code == EXIT_USAGE
         assert "cannot read" in err
+
+    def test_family_without_a_vertex_count(self, capsys):
+        code, out, err = run_cli(capsys, ["capacity", "--family", "path"])
+        assert code == EXIT_USAGE == 1
+        assert out == ""
+        assert err == "error: --family needs --n\n"
 
 
 class TestOutputModes:

@@ -9,6 +9,7 @@ from graphspir import (
     FAMILIES,
     Graph,
     build_graph,
+    capacity_report,
     complete_graph,
     cycle_graph,
     from_family,
@@ -98,6 +99,15 @@ class TestBuildGraph:
             build_graph(3, [(1, 2, 3)])
         with pytest.raises(ValueError, match=r"^edge \(1,\) is not a pair$"):
             build_graph(3, [[1], (2, 3)])
+        with pytest.raises(ValueError, match=r"^edges must be an iterable of pairs, got 5$"):
+            Graph(3, 5)
+        with pytest.raises(ValueError, match=r"^edges must be an iterable of pairs, got None$"):
+            build_graph(3, None)
+
+    def test_unnormalized_edge_refused_by_graph(self):
+        # build_graph swaps a reversed pair; Graph itself refuses one
+        with pytest.raises(ValueError, match=r"^edge \(2, 1\) is not normalized \(expected u < v\)$"):
+            Graph(3, ((2, 1), (2, 3)))
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
@@ -264,14 +274,14 @@ class TestVertexEdgeQueries:
             with pytest.raises(ValueError, match="no message"):
                 g.message_holders(bad)
 
-    def test_is_regular(self):
-        assert cycle_graph(3).is_regular() == 2
-        assert path_graph(3).is_regular() is None
-        assert complete_graph(4).is_regular() == 3
+    def test_regular_degree(self):
+        assert capacity_report(cycle_graph(3)).regular_degree == 2
+        assert capacity_report(path_graph(3)).regular_degree is None
+        assert capacity_report(complete_graph(4)).regular_degree == 3
 
     def test_regular_degree_edge_count_relation(self):
         for graph in (cycle_graph(5), complete_graph(4), regular_graph(6, 3)):
-            d = graph.is_regular()
+            d = capacity_report(graph).regular_degree
             assert d is not None
             assert graph.n_vertices * d == 2 * graph.n_edges
 
@@ -346,7 +356,7 @@ class TestGenerators:
 
     def test_regular_two_is_a_cycle(self):
         g = regular_graph(5, 2)
-        assert g.is_regular() == 2
+        assert capacity_report(g).regular_degree == 2
         assert set(g.edges) == set(cycle_graph(5).edges)
 
     def test_regular_invalid_parameters(self):
@@ -363,6 +373,10 @@ class TestGenerators:
         with pytest.raises(ValueError):
             cycle_graph(2)
         assert star_graph(2).edges == ((1, 2),)  # degenerate star is one edge
+        with pytest.raises(ValueError, match="^a star needs at least 2 vertices, got 1$"):
+            star_graph(1)
+        with pytest.raises(ValueError, match="^a complete graph needs at least 2 vertices, got 1$"):
+            complete_graph(1)
 
     def test_from_family(self):
         assert from_family("path", 3).edges == path_graph(3).edges
@@ -426,6 +440,10 @@ class TestEdgeListFormat:
             parse_edge_list("3 2\n1 2\n")
         with pytest.raises(ValueError):
             parse_edge_list("3 1\n1 2\n2 3\n")
+
+    def test_parse_refuses_an_empty_edge_list(self):
+        with pytest.raises(ValueError, match="^empty edge list$"):
+            parse_edge_list("# nothing\n\n")
 
     def test_parse_validates_graph(self):
         with pytest.raises(ValueError):

@@ -108,6 +108,10 @@ class TestStateFromValues:
         with pytest.raises(ValueError):
             state_from_values(path_graph(3), F3, 1, ((2,),), ((0,), (2,)))
 
+    def test_wrong_pad_count(self):
+        with pytest.raises(ValueError, match="^expected 2 pads, got 1$"):
+            state_from_values(path_graph(3), F2, 1, [(0,), (0,)], [(0,)])
+
     def test_wrong_symbol_length(self):
         with pytest.raises(ValueError):
             state_from_values(path_graph(3), F3, 2, ((2,), (1,)), ((0,), (2,)))
@@ -180,7 +184,7 @@ class TestServerAnswer:
             state = state_from_values(path_graph(3), F5, 1, ((w1,), (0,)), ((r1,), (0,)))
             queries = gen_queries(path_graph(3), F5, 2, (h1, 0))
             answer = server_answer_slot(state.stores[0], queries[0], F5, 0)
-            assert answer == F5.add(F5.mul(h1, w1), r1)
+            assert answer == (h1 * w1 + r1) % 5
 
     def test_zero_query_zero_pads_gives_zero(self):
         state = state_from_values(path_graph(3), F5, 1, ((3,), (4,)), ((), ()))
@@ -194,11 +198,11 @@ class TestServerAnswer:
         )
         store = state.stores[1]
         for q1, q2 in itertools.product(F5.iter_vectors(2), repeat=2):
-            q_sum = tuple(F5.add(a, b) for a, b in zip(q1, q2))
+            q_sum = tuple((a + b) % 5 for a, b in zip(q1, q2))
             left = server_answer_slot(store, q_sum, F5, 0)
-            right = F5.add(
-                server_answer_slot(store, q1, F5, 0), server_answer_slot(store, q2, F5, 0)
-            )
+            right = (
+                server_answer_slot(store, q1, F5, 0) + server_answer_slot(store, q2, F5, 0)
+            ) % 5
             assert left == right
 
     def test_query_length_mismatch(self):
@@ -211,7 +215,7 @@ class TestServerAnswer:
         # plain inner product
         state = state_from_values(path_graph(3), F5, 2, ((1, 2), (3, 4)), ((2,), (1,)))
         store = state.stores[0]
-        assert server_answer_slot(store, (1,), F5, 0) == F5.add(1, 2)
+        assert server_answer_slot(store, (1,), F5, 0) == (1 + 2) % 5
         assert server_answer_slot(store, (1,), F5, 1) == 2
 
     @pytest.mark.parametrize("slot", [-1, 2, True, 1.0, "1", None])
@@ -326,6 +330,19 @@ class TestDecode:
     def test_uneven_lengths_rejected(self):
         with pytest.raises(ValueError):
             decode(F5, [(1, 2), (3,)])
+
+    @pytest.mark.parametrize(
+        "answers, message",
+        [
+            # symbols are checked slot by slot: slot 0's 5 is named before slot 1's 7
+            ([(1, 7), (5, 2)], "^symbol 5 does not belong to the field of order 5$"),
+            ([(1,), (True,)], "^field symbol must be an int, got True$"),
+            ([(1,), (-1,)], "^symbol -1 does not belong to the field of order 5$"),
+        ],
+    )
+    def test_symbol_outside_the_field_rejected(self, answers, message):
+        with pytest.raises(ValueError, match=message):
+            decode(F5, answers)
 
     def test_exhaustive_binary_line(self):
         # all message/pad/coefficient realizations for both targets: 128 decodes

@@ -25,13 +25,10 @@ PACKAGE_NAMES = {
 }
 
 CLASS_NAMES = {
-    PrimeField: {
-        "modulus", "check", "add", "neg", "mul", "sum", "sample_vector",
-        "elements", "iter_vectors",
-    },
+    PrimeField: {"modulus", "check", "sample_vector", "iter_vectors"},
     Graph: {
         "n_vertices", "edges", "n_edges", "degree", "incident_edges",
-        "message_holders", "is_regular",
+        "message_holders",
     },
     SystemState: {"graph", "field", "message_length", "pad_length", "stores", "message"},
 }
