@@ -27,7 +27,7 @@ Audited constraints:
   independent of the messages it should not learn.
 
 Every answer the checks read comes from the protocol's answer function,
-``protocol._answer_slot``, split by its additivity into a message part and a
+``protocol._answer_slots``, split by its additivity into a message part and a
 pad part; the auditor keeps no copy of the answer arithmetic.
 
 State spaces grow as ``q^(3·K·L)``; a budget guard refuses enumerations
@@ -41,16 +41,17 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .field import PrimeField
-from .graph import Graph
+from .graph import Graph, _signed_getter
 from .protocol import (
     ServerStore,
-    _answer_slot,
+    _add_selector,
+    _answer_slots,
     _place,
     _queries,
     _resolve_pad_length,
     _round_answers,
     _selector_key,
-    _signed_query,
+    _signed_table,
     decode,
     run_round_with_coeffs,
     state_from_values,
@@ -183,7 +184,7 @@ def check_reliability(
     space.
 
     Decoding sums the kept answers, and an answer is linear in the held
-    messages and pads (``protocol._answer_slot``), so each symbol enters the
+    messages and pads (``protocol._answer_slots``), so each symbol enters the
     decoded sum with a weight: the sum of its kept holders' answers to the
     unit vector at it (``_answer_rows``). The decoded symbol is the target
     symbol less ``defect(h)·W``, plus ``r`` mod q, where ``defect(h)`` is
@@ -272,14 +273,14 @@ def _last_unit(vector):
 
 def _answer_rows(graph, q):
     """The linear form of every server's answer in one slot, read off the
-    protocol's answer function (``_answer_slot``) on unit stores.
+    protocol's answer function (``_answer_slots``) on unit stores.
 
     Returns ``(pad_rows, message_rows)``. ``pad_rows[n - 1][e - 1]`` is
     server ``n``'s answer to the unit pad at ``e`` (zero messages) under a
     zero query row. ``message_rows(queries)[n - 1][e - 1]`` is its answer to
     the unit message at ``e`` (no pads) under its query row
     ``queries[n - 1]``. A server that does not hold ``e`` answers 0. An
-    answer is linear in the messages and pads (``_answer_slot``), so server
+    answer is linear in the messages and pads (``_answer_slots``), so server
     ``n`` answers messages ``W`` and pads ``Z`` with
     ``sum_e W_e·message_rows(queries)[n - 1][e - 1] + Z_e·pad_rows[n - 1][e - 1]``
     mod q. A server's row reads the queries only through its own query row,
@@ -294,7 +295,7 @@ def _answer_rows(graph, q):
     def answer_row(placements, n, row):
         answers = [0] * k
         for e in held[n - 1]:
-            answers[e - 1] = _answer_slot(placements[e - 1][n - 1], row, q, 0)
+            answers[e - 1] = _answer_slots(placements[e - 1][n - 1], (row,), q)[0]
         return answers
 
     memo = {}
@@ -370,10 +371,16 @@ def _query_counts(graph, field, message_length, server, key, mask_queries) -> Co
     """Count the per-slot query tuples ``server`` receives in a round whose
     target has its selector key ``key`` (``_selector_key``), over every
     vector of its held mask coefficients in every slot. ``mask_queries=False``
-    sends the raw selector: the query with every coefficient zero."""
+    sends the raw selector: the query with every coefficient zero. Each
+    query is read as ``protocol._queries`` reads it, by the server's signed
+    getter off the signed table, here of its held coefficients alone."""
     held, signs = graph._incidence[server - 1]
-    coeff_space = field.iter_vectors(len(held)) if mask_queries else [(0,) * len(held)]
-    slot_queries = [_signed_query(signs, c, key, field.modulus) for c in coeff_space]
+    q, delta = field.modulus, len(held)
+    gather = _signed_getter(range(delta), signs, delta)
+    coeff_space = field.iter_vectors(delta) if mask_queries else [(0,) * delta]
+    slot_queries = [gather(_signed_table(coeffs, q)) for coeffs in coeff_space]
+    if key is not None:
+        slot_queries = [_add_selector(query, key, q) for query in slot_queries]
     return Counter(itertools.product(slot_queries, repeat=message_length))
 
 
@@ -382,16 +389,16 @@ def _view_counts(graph, field, message_length, pad_length, server, query_counts)
     ``(queries, answer, messages, pads)`` over all held messages and pads,
     counted as its query tuple. The answer is the message part, the
     protocol's answer to (messages, no pads), plus the pad part, its answer
-    to (no messages, pads) (``_answer_slot``), which reads no query."""
+    to (no messages, pads) (``_answer_slots``), which reads no query."""
     held, signs = graph._incidence[server - 1]
-    q, delta, slots = field.modulus, len(held), range(message_length)
+    q, delta = field.modulus, len(held)
     store = functools.partial(ServerStore, server, held, signs)
     message_space = list(itertools.product(field.iter_vectors(message_length), repeat=delta))
     pad_space = list(itertools.product(field.iter_vectors(pad_length), repeat=delta))
     message_stores = [store(messages, ((),) * delta) for messages in message_space]
     zero_query, zero_messages = (0,) * delta, ((0,) * message_length,) * delta
     pad_parts = [
-        [_answer_slot(store(zero_messages, pads), zero_query, q, t) for t in slots]
+        _answer_slots(store(zero_messages, pads), (zero_query,) * message_length, q)
         for pads in pad_space
     ]
     answers = {
@@ -401,7 +408,7 @@ def _view_counts(graph, field, message_length, pad_length, server, query_counts)
     views = {}
     for queries, count in query_counts.items():
         for messages, message_store in zip(message_space, message_stores):
-            part = tuple(_answer_slot(message_store, queries[t], q, t) for t in slots)
+            part = _answer_slots(message_store, queries, q)
             for answer, pads in zip(answers[part], pad_space):
                 views[queries, answer, messages, pads] = count
     return views
@@ -424,7 +431,7 @@ def check_user_privacy(
 
     Each server's tables are decided on its single-slot query tables. Its
     view is ``(queries, answer, messages, pads)`` on its held edges, where
-    the answer is ``_answer_slot`` of the other three, and the mask
+    the answer is ``_answer_slots`` of the other three, and the mask
     coefficients are drawn independently of the messages and pads. So a
     view's count is its query tuple's count if the answer is right and 0
     otherwise (``_view_counts``), and summing a view table over answers,
@@ -451,7 +458,7 @@ def check_user_privacy(
     ``(m, …, m, y)`` differs iff ``A[y] ≠ B[y]``, so it is smallest at y = x,
     and a tuple with an earlier entry other than m is larger. Within a query
     tuple, zero messages and zero pads give the zero answer
-    (``protocol._answer_slot`` is linear), which is the smallest answer,
+    (``protocol._answer_slots`` is linear), which is the smallest answer,
     and zero messages and pads are then the smallest. So the witness view is
     ``((m, …, m, x), 0, zero messages, zero pads)``, and its counts are
     ``A[m]^(L−1)·A[x]`` and ``B[m]^(L−1)·B[x]``. ``enumerated`` is the size
@@ -526,7 +533,7 @@ def check_database_privacy(
     so ``W_S`` is independent of the view iff it is so in every slot. The
     slots come in two variants, with a pad symbol and without one (when
     pads are shorter than messages). Fix a slot and h. By the linearity of
-    ``_answer_slot``, the answers are ``M·W + P·Z``, where the columns of M
+    ``_answer_slots``, the answers are ``M·W + P·Z``, where the columns of M
     and P are the answers to unit messages and unit pads
     (``_answer_rows``), and ``P = 0`` in a slot without a pad. Condition
     on h, on the pads outside S and on the messages outside S and θ: they

@@ -17,13 +17,23 @@ def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _iter_edges(edges):
-    """An iterator over an edge collection, which is refused by name if it is
-    not iterable at all."""
+def _iterate(values, name: str, items: str):
+    """An iterator over ``values``, which are refused by ``name`` if they are
+    not iterable at all: they should have been an iterable of ``items``."""
     try:
-        return iter(edges)
+        return iter(values)
     except TypeError:
-        raise ValueError(f"edges must be an iterable of pairs, got {edges!r}") from None
+        raise ValueError(f"{name} must be an iterable of {items}, got {values!r}") from None
+
+
+def _signed_getter(positions, signs, width: int) -> itemgetter:
+    """A getter that reads a signed row off a table of ``2 * width``
+    entries, a vector followed by its negation mod q: at each position,
+    entry ``position`` where the sign is +1 and ``width + position`` where
+    it is -1. It returns a tuple; an ``itemgetter`` of one index returns a
+    bare entry, so a single position gets a one-entry slice instead."""
+    at = [i if sign == 1 else width + i for i, sign in zip(positions, signs)]
+    return itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
 
 
 @dataclass(frozen=True)
@@ -36,7 +46,7 @@ class Graph:
         if not isinstance(n, int) or n < 2:
             raise ValueError(f"need at least 2 vertices, got {n!r}")
         edges, seen = [], set()
-        for edge in _iter_edges(self.edges):
+        for edge in _iterate(self.edges, "edges", "pairs"):
             # stored as tuples: lists or other sequences would make equal
             # graphs compare unequal and leave the graph unhashable. An
             # iterable edge is named as a tuple, anything else as given.
@@ -103,18 +113,19 @@ class Graph:
         return tuple((tuple(h), tuple(s)) for h, s in zip(held, signs))
 
     @cached_property
-    def _gather(self) -> tuple[itemgetter, ...]:
-        """Per vertex, a getter that reads a per-message tuple at its held
-        edges and returns those entries as a tuple, in held order.
+    def _signed_gather(self) -> tuple[itemgetter, ...]:
+        """Per vertex, a getter that reads its signed incidence row off a
+        table of ``2 * n_edges`` entries, a per-message vector followed by
+        its negation mod q (``_signed_getter``): entry ``k - 1`` where the
+        vertex is edge ``k``'s smaller endpoint, ``n_edges + k - 1`` where
+        it is the larger.
 
-        Built once per graph on first use, like ``_incidence``. An
-        ``itemgetter`` of one index returns a bare entry, so a degree-1
-        vertex gets a one-entry slice instead.
+        Built once per graph on first use, like ``_incidence``, which it
+        reads its held edges and signs from.
         """
         return tuple(
-            itemgetter(*(k - 1 for k in held)) if len(held) > 1
-            else itemgetter(slice(held[0] - 1, held[0]))
-            for held, _ in self._incidence
+            _signed_getter([e - 1 for e in held], signs, self.n_edges)
+            for held, signs in self._incidence
         )
 
     def degree(self, vertex: int) -> int:
@@ -145,7 +156,7 @@ class Graph:
 def build_graph(n_vertices: int, edges) -> Graph:
     """Build a graph from possibly unordered edge pairs, preserving edge order."""
     normalized = []
-    for edge in _iter_edges(edges):
+    for edge in _iterate(edges, "edges", "pairs"):
         # swap only a pair of ints; ``Graph`` refuses anything else by name
         match edge:
             case (int(u), int(v)) if u > v:

@@ -23,7 +23,7 @@ from functools import cached_property
 from operator import mul
 
 from .field import PrimeField
-from .graph import Graph, _is_index
+from .graph import Graph, _is_index, _iterate
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class ServerStore:
     the signs of its incidence-row entries, and its message and pad copies
     aligned with those indices.
 
-    Two views that ``_answer_slot`` reads, the message columns and the pad
+    Two views that ``_answer_slots`` reads, the message columns and the pad
     sums, are built once per store on first use. ``cached_property`` stores
     them in the instance dict, outside the dataclass fields, so equality,
     hashing and ``repr`` are unaffected.
@@ -91,6 +91,17 @@ def _resolve_pad_length(message_length, pad_length) -> int:
     return pad_length
 
 
+def _vector(values, name: str) -> tuple:
+    """``values`` as a tuple, refused by ``name`` if it is not iterable."""
+    return tuple(_iterate(values, name, "field elements"))
+
+
+def _vectors(values, name: str, item: str) -> tuple[tuple, ...]:
+    """``values`` as a tuple of tuples, refused by ``name`` if it is not
+    iterable and by ``item`` if one of its entries is not."""
+    return tuple(_vector(v, item) for v in _iterate(values, name, "vectors"))
+
+
 def _place(graph: Graph, messages, pads) -> tuple[ServerStore, ...]:
     """Unchecked core of ``state_from_values``: every server's store of the
     per-edge ``messages`` and ``pads``."""
@@ -115,8 +126,8 @@ def state_from_values(
     normally equal to ``message_length``). Both holders of an edge receive
     identical copies.
     """
-    messages = tuple(tuple(m) for m in messages)
-    pads = tuple(tuple(p) for p in pads)
+    messages = _vectors(messages, "messages", "each message")
+    pads = _vectors(pads, "pads", "each pad")
     pad_length = _resolve_pad_length(message_length, len(pads[0]) if pads else 0)
     if len(messages) != graph.n_edges:
         raise ValueError(f"expected {graph.n_edges} messages, got {len(messages)}")
@@ -161,38 +172,40 @@ def init_system(
 def _selector_key(graph: Graph, server: int, target: int):
     """What a server's query depends on of the target: the position of the
     selector among its held edges, or None if it is not the target's larger
-    holder (``_signed_query`` reads nothing else of the target). Unchecked:
-    ``server`` and ``target`` must be a vertex and an edge of ``graph``."""
+    holder (``_queries`` adds the selector there and nowhere else).
+    Unchecked: ``server`` and ``target`` must be a vertex and an edge of
+    ``graph``."""
     _, larger = graph.edges[target - 1]
     return graph._incidence[server - 1][0].index(target) if server == larger else None
 
 
-def _signed_query(signs, coeffs_held, position, q: int):
-    """Unchecked core of ``gen_queries`` for one server: signs the held
-    coefficients and adds 1 at the selector's ``position`` among them, if
-    it is not None (``_selector_key``)."""
-    # +1 entries reuse the coefficient objects, which keeps long transcripts
-    # small; a plain loop, since a comprehension runs in a frame of its own
-    query = list(coeffs_held)
-    for i, sign in enumerate(signs):
-        if sign == -1:
-            query[i] = -query[i] % q
-    if position is not None:
-        query[position] = (query[position] + 1) % q
-    return tuple(query)
+def _signed_table(coeffs: tuple, q: int) -> tuple:
+    """The table that every server's signed getter (``Graph._signed_gather``)
+    reads its query from: the coefficients, then their negations mod q. The
+    +1 entries are the coefficient objects themselves, which keeps long
+    transcripts small."""
+    return coeffs + tuple([-c % q for c in coeffs])
 
 
-def _queries(graph: Graph, q: int, target: int, coeffs) -> tuple:
+def _add_selector(query: tuple, position: int, q: int) -> tuple:
+    """The selector rule: ``query`` with 1 added mod q at ``position``."""
+    return query[:position] + ((query[position] + 1) % q,) + query[position + 1:]
+
+
+def _queries(graph: Graph, q: int, target: int, coeffs: tuple) -> tuple:
     """Unchecked core of ``gen_queries``: ``target`` must be an edge of
-    ``graph`` and ``coeffs`` one field element per message."""
+    ``graph`` and ``coeffs`` a tuple of one field element per message.
+
+    The coefficients are negated once, every server reads its signed row
+    off that table with one getter, and the target's larger holder alone
+    gets the selector (``_selector_key``).
+    """
+    table = _signed_table(coeffs, q)
+    queries = [gather(table) for gather in graph._signed_gather]
     _, larger = graph.edges[target - 1]
     position = _selector_key(graph, larger, target)
-    return tuple(
-        _signed_query(signs, gather(coeffs), position if server == larger else None, q)
-        for server, ((_, signs), gather) in enumerate(
-            zip(graph._incidence, graph._gather), start=1
-        )
-    )
+    queries[larger - 1] = _add_selector(queries[larger - 1], position, q)
+    return tuple(queries)
 
 
 def _check_coeffs(graph: Graph, field: PrimeField, coeffs: tuple):
@@ -211,14 +224,15 @@ def gen_queries(graph: Graph, field: PrimeField, target: int, coeffs) -> tuple:
     messages, signed, plus the selector increment at one holder.
     """
     graph._check_edge(target)
-    coeffs = tuple(coeffs)
+    coeffs = _vector(coeffs, "coeffs")
     _check_coeffs(graph, field, coeffs)
     return _queries(graph, field.modulus, target, coeffs)
 
 
-def _answer_slot(store: ServerStore, query, q: int, slot: int) -> int:
+def _answer_slots(store: ServerStore, queries, q: int, slot: int = 0) -> tuple[int, ...]:
     """Unchecked core of ``server_answer_slot``, and the one place that
-    turns a query, messages and pads into an answer symbol.
+    turns queries, messages and pads into answer symbols: the answers to
+    ``queries``, one query per slot from ``slot`` on.
 
     For a fixed query and slot, answer(W, Z) = answer(W, no pads) +
     answer(no messages, Z) mod q, where "no pads" are pads of length 0 and
@@ -235,18 +249,18 @@ def _answer_slot(store: ServerStore, query, q: int, slot: int) -> int:
     of the slot, and the slot's signed pad sum, which is computed once per
     store and, as the proof says, reads no query.
     """
-    return (sum(map(mul, query, store._columns[slot])) + store._pad_sums[slot]) % q
+    columns, pad_sums = store._columns, store._pad_sums
+    return tuple([
+        (sum(map(mul, query, columns[t])) + pad_sums[t]) % q for t, query in enumerate(queries, slot)
+    ])
 
 
 def _round_answers(stores, q: int, queries_per_slot) -> tuple[tuple[int, ...], ...]:
     """Every server's answer to per-slot queries, unchecked: one
-    ``message_length``-symbol answer per store."""
+    ``message_length``-symbol answer per store, from one call per store."""
     # per server, its query in each slot
     rows = tuple(zip(*queries_per_slot))
-    return tuple(
-        tuple([_answer_slot(store, query, q, t) for t, query in enumerate(rows[store.server - 1])])
-        for store in stores
-    )
+    return tuple([_answer_slots(store, rows[store.server - 1], q) for store in stores])
 
 
 def server_answer_slot(store: ServerStore, query, field: PrimeField, slot: int) -> int:
@@ -256,19 +270,19 @@ def server_answer_slot(store: ServerStore, query, field: PrimeField, slot: int) 
     slots = len(store.messages[0]) if store.messages else 0
     if not (_is_index(slot) and 0 <= slot < slots):
         raise ValueError(f"slot must be an int in 0..{slots - 1}, got {slot!r}")
-    query = tuple(query)
+    query = _vector(query, "query")
     if len(query) != len(store.held):
         raise ValueError(
             f"server {store.server} holds {len(store.held)} messages, got a length-{len(query)} query"
         )
     for c in query:
         field.check(c)
-    return _answer_slot(store, query, field.modulus, slot)
+    return _answer_slots(store, (query,), field.modulus, slot)[0]
 
 
 def decode(field: PrimeField, answers) -> tuple[int, ...]:
     """Sum all answers slot-wise; the signed terms cancel, leaving the target."""
-    answers = [tuple(a) for a in answers]
+    answers = _vectors(answers, "answers", "each answer")
     if not answers:
         raise ValueError("nothing to decode")
     length = len(answers[0])
@@ -319,7 +333,7 @@ def _run_round(state: SystemState, target: int, coeffs_per_slot) -> RoundTranscr
 def run_round_with_coeffs(state: SystemState, target: int, coeffs_per_slot) -> RoundTranscript:
     """Run one round with the given per-slot mask coefficients (no drawing)."""
     graph, field = state.graph, state.field
-    coeffs_per_slot = tuple(tuple(c) for c in coeffs_per_slot)
+    coeffs_per_slot = _vectors(coeffs_per_slot, "coeffs_per_slot", "each slot's coefficients")
     if len(coeffs_per_slot) != state.message_length:
         raise ValueError(
             f"expected {state.message_length} coefficient vectors, got {len(coeffs_per_slot)}"

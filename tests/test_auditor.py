@@ -49,7 +49,7 @@ from graphspir.auditor import (
     _reliability_witness,
     _view_counts,
 )
-from graphspir.protocol import ServerStore, _answer_slot, _selector_key, gen_queries
+from graphspir.protocol import ServerStore, _answer_slots, _selector_key, gen_queries
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -855,10 +855,7 @@ def _reference_server_view_table(
         for messages in itertools.product(field.iter_vectors(message_length), repeat=delta):
             for pads in itertools.product(field.iter_vectors(pad_length), repeat=delta):
                 store = ServerStore(server, held, signs, messages, pads)
-                answer = tuple(
-                    _answer_slot(store, queries[t], field.modulus, t)
-                    for t in range(message_length)
-                )
+                answer = _answer_slots(store, queries, field.modulus)
                 table[(queries, answer, messages, pads)] += 1
     return table
 
@@ -951,25 +948,24 @@ class TestUserPrivacyOracle:
                 )
 
 
-def _non_bijective_selector(signs, coeffs_held, position, q):
-    """The protocol's query with a selector that is not a bijection: the
-    selected entry is 0 where it was 0 and q - 1 elsewhere, so for q > 2 a
-    selected server's query counts depend on the target."""
-    query = [c if sign == 1 else -c % q for sign, c in zip(signs, coeffs_held)]
-    if position is not None:
-        query[position] = 0 if query[position] == 0 else q - 1
+def _non_bijective_selector(query, position, q):
+    """The protocol's selector made not a bijection: the selected entry is 0
+    where it was 0 and q - 1 elsewhere, so for q > 2 a selected server's
+    query counts depend on the target."""
+    query = list(query)
+    query[position] = 0 if query[position] == 0 else q - 1
     return tuple(query)
 
 
 def _patch_selector(monkeypatch, selector):
     """Bind ``selector`` wherever the package binds the shipped
-    ``protocol._signed_query``."""
-    shipped = protocol._signed_query
+    ``protocol._add_selector``."""
+    shipped = protocol._add_selector
     patched = []
     for name, module in list(sys.modules.items()):
         in_package = name.partition(".")[0] == "graphspir"
-        if in_package and getattr(module, "_signed_query", None) is shipped:
-            monkeypatch.setattr(module, "_signed_query", selector)
+        if in_package and getattr(module, "_add_selector", None) is shipped:
+            monkeypatch.setattr(module, "_add_selector", selector)
             patched.append(name)
     assert {"graphspir.protocol", "graphspir.auditor"} <= set(patched)
 
@@ -1178,29 +1174,35 @@ class TestRunAudit:
         assert report.all_passed
 
 
-def _answer_with_unsigned_pads(store, query, q, slot):
+def _answer_with_unsigned_pads(store, queries, q, first=0):
     """The protocol's answer with every pad added at sign +1: a broken
     scheme whose decoded sums keep twice each pad."""
-    total = sum(c * message[slot] for c, message in zip(query, store.messages))
-    total += sum(pad[slot] for pad in store.pads if slot < len(pad))
-    return total % q
+    answers = []
+    for slot, query in enumerate(queries, first):
+        total = sum(c * message[slot] for c, message in zip(query, store.messages))
+        total += sum(pad[slot] for pad in store.pads if slot < len(pad))
+        answers.append(total % q)
+    return tuple(answers)
 
 
-def _answer_without_pads(store, query, q, slot):
+def _answer_without_pads(store, queries, q, first=0):
     """The protocol's answer with the pads left out: a broken scheme whose
     answers expose the masked messages."""
-    return sum(c * message[slot] for c, message in zip(query, store.messages)) % q
+    return tuple(
+        sum(c * message[slot] for c, message in zip(query, store.messages)) % q
+        for slot, query in enumerate(queries, first)
+    )
 
 
 def _patch_answer_function(monkeypatch, answer):
     """Bind ``answer`` wherever the package binds the shipped answer
     function."""
-    shipped = protocol._answer_slot
+    shipped = protocol._answer_slots
     patched = []
     for name, module in list(sys.modules.items()):
         in_package = name.partition(".")[0] == "graphspir"
-        if in_package and getattr(module, "_answer_slot", None) is shipped:
-            monkeypatch.setattr(module, "_answer_slot", answer)
+        if in_package and getattr(module, "_answer_slots", None) is shipped:
+            monkeypatch.setattr(module, "_answer_slots", answer)
             patched.append(name)
     assert "graphspir.protocol" in patched
 

@@ -282,6 +282,21 @@ STDOUT_DIGESTS = {
         ["run", "--family", "cycle", "--n", "6", "--q", "65537", "--length", "3", "--seed", "5"],
         "04c506141863c593ea220ac1af087efea308120b89a881da92f09f14e5cf0584",
     ),
+    "run-cycle40-q65537-L4": (
+        ["run", "--family", "cycle", "--n", "40", "--q", "65537", "--length", "4", "--seed", "1"],
+        "9b2319ec87b8a3f0322c44224041071f4543c67189a2250a4160320c52d771d6",
+    ),
+    # the shape of the benchmark's ring: 256 servers, a 31-bit modulus, 8 slots
+    "run-cycle256-q2147483647-L8-theta1": (
+        ["run", "--family", "cycle", "--n", "256", "--q", "2147483647", "--length", "8",
+         "--theta", "1", "--seed", "1"],
+        "6eebea927ec658df03427b1205ecd53bd3394298a4a732b687c3f549ff62877a",
+    ),
+    # degree-1 leaves around an 11-edge hub
+    "run-star12-q65521-L3": (
+        ["run", "--family", "star", "--n", "12", "--q", "65521", "--length", "3", "--seed", "2"],
+        "476348908129f228e2f6cc4110586a74a61429f341a1825689c4d9d87654e40a",
+    ),
     "capacity-cycle5": (
         ["capacity", "--family", "cycle", "--n", "5"],
         "c9aee21a2acabb1a546f21c841a477c4baec1d8432aedf626513cf45442e24c0",
@@ -300,7 +315,7 @@ STDOUT_DIGESTS = {
 
 
 class TestAuditDigests:
-    """The audit digests (two as text), four pinned ``run`` outputs and one
+    """The audit digests (two as text), seven pinned ``run`` outputs and one
     ``capacity``."""
 
     @pytest.mark.parametrize("argv, digest", STDOUT_DIGESTS.values(), ids=STDOUT_DIGESTS.keys())
@@ -712,10 +727,12 @@ class TestStreamedRun:
     from the seed as it writes them."""
 
     def test_wrong_answers_fail_every_round(self, capsys, monkeypatch):
-        answer = protocol._answer_slot
+        answer = protocol._answer_slots
         monkeypatch.setattr(
-            protocol, "_answer_slot",
-            lambda store, query, q, slot: (answer(store, query, q, slot) + (store.server == 1)) % q,
+            protocol, "_answer_slots",
+            lambda store, queries, q, slot=0: tuple(
+                (a + (store.server == 1)) % q for a in answer(store, queries, q, slot)
+            ),
         )
         code, payload = run_json(
             capsys, ["run", "--family", "cycle", "--n", "4", "--q", "5", "--length", "2"]
@@ -728,14 +745,14 @@ class TestStreamedRun:
     def test_replay_that_disagrees_raises(self, monkeypatch):
         # path-3, both targets: 3 servers answer 1 slot per round, so the
         # first pass makes 6 calls; every later answer is off by one
-        answer = protocol._answer_slot
+        answer = protocol._answer_slots
         calls = []
 
-        def drifting(store, query, q, slot):
+        def drifting(store, queries, q, slot=0):
             calls.append(store.server)
-            return (answer(store, query, q, slot) + (len(calls) > 6)) % q
+            return tuple((a + (len(calls) > 6)) % q for a in answer(store, queries, q, slot))
 
-        monkeypatch.setattr(protocol, "_answer_slot", drifting)
+        monkeypatch.setattr(protocol, "_answer_slots", drifting)
         with pytest.raises(RuntimeError, match="first pass"):
             main(["run", "--family", "path", "--n", "3", "--q", "5"])
 

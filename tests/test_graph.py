@@ -312,12 +312,14 @@ class TestIncidenceIndex:
             assert graph.degree(vertex) == len(held)
 
     @pytest.mark.parametrize("graph", INDEXED_GRAPHS.values(), ids=INDEXED_GRAPHS.keys())
-    def test_gather_reads_the_held_edges(self, graph):
-        # the path's ends and the star's leaves have degree 1
-        vector = tuple(range(100, 100 + graph.n_edges))
-        for vertex, gather in enumerate(graph._gather, start=1):
-            held = graph.incident_edges(vertex)
-            assert gather(vector) == tuple(vector[k - 1] for k in held)
+    def test_signed_gather_reads_the_signed_row(self, graph):
+        # the path's ends and the star's leaves have degree 1; the table
+        # holds a vector, then its negation
+        k = graph.n_edges
+        table = tuple(range(100, 100 + k)) + tuple(-x for x in range(100, 100 + k))
+        for vertex, gather in enumerate(graph._signed_gather, start=1):
+            held, signs = _scanned_incidence(graph, vertex)
+            assert gather(table) == tuple(sign * (99 + e) for e, sign in zip(held, signs))
 
     def test_equality_and_hash_ignore_the_index(self):
         indexed, fresh = cycle_graph(5), cycle_graph(5)

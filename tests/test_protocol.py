@@ -22,7 +22,8 @@ from graphspir import (
     state_from_values,
     transcript_to_dict,
 )
-from graphspir.protocol import _answer_slot, _queries
+from graphspir.protocol import _answer_slots, _queries
+from test_small_graphs import SMALL_GRAPHS
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -43,6 +44,14 @@ class TestInitSystem:
             assert store_lo.messages[store_lo.held.index(k)] == state.message(k)
             assert store_hi.messages[store_hi.held.index(k)] == state.message(k)
             assert store_lo.pads[store_lo.held.index(k)] == store_hi.pads[store_hi.held.index(k)]
+
+    def test_builds_no_query_getters(self):
+        # the signed getters are built by the first query, not by set-up
+        graph = cycle_graph(5)
+        init_system(graph, F5, 2, random.Random(11))
+        assert "_signed_gather" not in vars(graph)
+        gen_queries(graph, F5, 1, (0,) * 5)
+        assert "_signed_gather" in vars(graph)
 
     def test_deterministic_given_seed(self):
         a = init_system(path_graph(4), F5, 2, random.Random(11))
@@ -246,7 +255,7 @@ ANSWERED_GRAPHS = {
 
 
 class TestCachedStoreViews:
-    """``_answer_slot`` reads the message columns and pad sums that a store
+    """``_answer_slots`` reads the message columns and pad sums that a store
     caches on first use."""
 
     @pytest.mark.parametrize("graph", ANSWERED_GRAPHS.values(), ids=ANSWERED_GRAPHS.keys())
@@ -257,12 +266,17 @@ class TestCachedStoreViews:
         for length in (1, 2, 3):
             for pad_length in range(length + 1):
                 state = init_system(graph, field, length, rng, pad_length=pad_length)
-                for store, slot in itertools.product(state.stores, range(length)):
+                for store in state.stores:
                     degree = len(store.held)
-                    queries = [(0,) * degree] + [field.sample_vector(rng, degree) for _ in range(3)]
-                    for query in queries:
-                        expected = _plain_loop_answer(store, query, q, slot)
-                        assert _answer_slot(store, query, q, slot) == expected
+                    row = [field.sample_vector(rng, degree) for _ in range(length)]
+                    expected = tuple(_plain_loop_answer(store, row[t], q, t) for t in range(length))
+                    # a server answers every slot of a round in one call
+                    assert _answer_slots(store, row, q) == expected
+                    for slot in range(length):
+                        queries = [(0,) * degree] + [field.sample_vector(rng, degree) for _ in range(3)]
+                        for query in queries:
+                            expected = _plain_loop_answer(store, query, q, slot)
+                            assert _answer_slots(store, (query,), q, slot) == (expected,)
 
     def test_caches_leave_equality_hash_and_repr(self):
         answered = init_system(star_graph(5), F5, 2, random.Random(1), pad_length=1).stores
@@ -270,7 +284,7 @@ class TestCachedStoreViews:
         reprs, hashes = [repr(s) for s in fresh], [hash(s) for s in fresh]
         for store in answered:
             for slot in range(2):
-                _answer_slot(store, (1,) * len(store.held), 5, slot)
+                _answer_slots(store, ((1,) * len(store.held),), 5, slot)
             assert {"_columns", "_pad_sums"} <= vars(store).keys()
         assert answered == fresh
         assert [repr(s) for s in answered] == reprs
@@ -296,14 +310,76 @@ def _reference_queries(graph, q, target, coeffs):
     return tuple(queries)
 
 
-@pytest.mark.parametrize("graph", [path_graph(3), star_graph(5)], ids=["path3", "star5"])
+QUERIED_GRAPHS = {
+    "path3": path_graph(3),
+    # the hub is every edge's larger endpoint
+    "star5": star_graph(5),
+    **{f"N{n}-{edges}": build_graph(n, edges) for n, lists in SMALL_GRAPHS.items() for edges in lists},
+    "unsorted": ANSWERED_GRAPHS["unsorted"],
+}
+
+
+def _assert_reference_queries(graph, q, target, coeffs):
+    queries = _queries(graph, q, target, coeffs)
+    assert queries == _reference_queries(graph, q, target, coeffs)
+    assert all(type(query) is tuple for query in queries)
+    # the +1 entries are the coefficient objects themselves
+    for server, query in enumerate(queries, start=1):
+        for k, entry in zip(graph.incident_edges(server), query):
+            smaller, _ = graph.message_holders(k)
+            if server == smaller:
+                assert entry is coeffs[k - 1]
+
+
+@pytest.mark.parametrize("graph", QUERIED_GRAPHS.values(), ids=QUERIED_GRAPHS.keys())
 def test_queries_match_the_incidence_reference(graph):
-    # the path's ends and the star's leaves hold one message each
-    for target in range(1, graph.n_edges + 1):
-        for coeffs in F3.iter_vectors(graph.n_edges):
-            queries = _queries(graph, 3, target, coeffs)
-            assert queries == _reference_queries(graph, 3, target, coeffs)
-            assert all(type(query) is tuple for query in queries)
+    # the path's ends and the star's leaves hold one message each; q=2 over
+    # every mask vector, q=3 and q=5 over seeded ones
+    k, rng = graph.n_edges, random.Random(graph.n_edges)
+    for target in range(1, k + 1):
+        for coeffs in F2.iter_vectors(k):
+            _assert_reference_queries(graph, 2, target, coeffs)
+        for field in (F3, F5):
+            for _ in range(20):
+                _assert_reference_queries(graph, field.modulus, target, field.sample_vector(rng, k))
+
+
+@pytest.mark.parametrize("graph", [cycle_graph(256), complete_graph(30)], ids=["cycle256", "complete30"])
+def test_queries_match_the_incidence_reference_at_scale(graph):
+    field, rng = PrimeField(2**31 - 1), random.Random(256)
+    for target in rng.sample(range(1, graph.n_edges + 1), 8):
+        _assert_reference_queries(graph, field.modulus, target, field.sample_vector(rng, graph.n_edges))
+
+
+_P3_STATE = state_from_values(path_graph(3), F5, 1, [(1,), (2,)], [(3,), (4,)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gen_queries(path_graph(3), F5, 1, 5), "coeffs must be an iterable of field elements, got 5"),
+        (lambda: run_round_with_coeffs(_P3_STATE, 1, 5), "coeffs_per_slot must be an iterable of vectors, got 5"),
+        (lambda: run_round_with_coeffs(_P3_STATE, 1, [5]),
+         "each slot's coefficients must be an iterable of field elements, got 5"),
+        (lambda: state_from_values(path_graph(3), F5, 1, 5, [(3,), (4,)]),
+         "messages must be an iterable of vectors, got 5"),
+        (lambda: state_from_values(path_graph(3), F5, 1, [(1,), 2], [(3,), (4,)]),
+         "each message must be an iterable of field elements, got 2"),
+        (lambda: state_from_values(path_graph(3), F5, 1, [(1,), (2,)], None),
+         "pads must be an iterable of vectors, got None"),
+        (lambda: state_from_values(path_graph(3), F5, 1, [(1,), (2,)], [3, (4,)]),
+         "each pad must be an iterable of field elements, got 3"),
+        (lambda: server_answer_slot(_P3_STATE.stores[0], 1, F5, 0),
+         "query must be an iterable of field elements, got 1"),
+        (lambda: decode(F5, 5), "answers must be an iterable of vectors, got 5"),
+        (lambda: decode(F5, [(1,), 2]), "each answer must be an iterable of field elements, got 2"),
+    ],
+    ids=["gen_queries", "run_round-outer", "run_round-inner", "messages-outer", "messages-inner",
+         "pads-outer", "pads-inner", "server_answer_slot", "decode-outer", "decode-inner"],
+)
+def test_non_iterable_vector_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 class TestSignCancellation:
