@@ -41,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .field import PrimeField
-from .graph import Graph, _signed_getter
+from .graph import Graph, _signed_getter, _signed_table
 from .protocol import (
     ServerStore,
     _add_selector,
@@ -51,7 +51,6 @@ from .protocol import (
     _resolve_pad_length,
     _round_answers,
     _selector_key,
-    _signed_table,
     decode,
     run_round_with_coeffs,
     state_from_values,

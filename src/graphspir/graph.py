@@ -28,12 +28,20 @@ def _iterate(values, name: str, items: str):
 
 def _signed_getter(positions, signs, width: int) -> itemgetter:
     """A getter that reads a signed row off a table of ``2 * width``
-    entries, a vector followed by its negation mod q: at each position,
-    entry ``position`` where the sign is +1 and ``width + position`` where
-    it is -1. It returns a tuple; an ``itemgetter`` of one index returns a
+    entries, a vector followed by its negation mod q (``_signed_table``):
+    at each position, entry ``position`` where the sign is +1 and
+    ``width + position`` where it is -1. It returns a tuple; an ``itemgetter`` of one index returns a
     bare entry, so a single position gets a one-entry slice instead."""
     at = [i if sign == 1 else width + i for i, sign in zip(positions, signs)]
     return itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
+
+
+def _signed_table(coeffs: tuple, q: int) -> tuple:
+    """The table that every signed getter (``_signed_getter``) reads a
+    query from: the coefficients, then their negations mod q. The +1
+    entries are the coefficient objects themselves, which keeps long
+    transcripts small."""
+    return coeffs + tuple([-c % q for c in coeffs])
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from functools import cached_property
 from operator import mul
 
 from .field import PrimeField
-from .graph import Graph, _is_index, _iterate
+from .graph import Graph, _is_index, _iterate, _signed_table
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def _resolve_pad_length(message_length, pad_length) -> int:
 
 def _vector(values, name: str) -> tuple:
     """``values`` as a tuple, refused by ``name`` if it is not iterable."""
-    return tuple(_iterate(values, name, "field elements"))
+    return values if type(values) is tuple else tuple(_iterate(values, name, "field elements"))
 
 
 def _vectors(values, name: str, item: str) -> tuple[tuple, ...]:
@@ -177,14 +177,6 @@ def _selector_key(graph: Graph, server: int, target: int):
     ``graph``."""
     _, larger = graph.edges[target - 1]
     return graph._incidence[server - 1][0].index(target) if server == larger else None
-
-
-def _signed_table(coeffs: tuple, q: int) -> tuple:
-    """The table that every server's signed getter (``Graph._signed_gather``)
-    reads its query from: the coefficients, then their negations mod q. The
-    +1 entries are the coefficient objects themselves, which keeps long
-    transcripts small."""
-    return coeffs + tuple([-c % q for c in coeffs])
 
 
 def _add_selector(query: tuple, position: int, q: int) -> tuple:

@@ -18,6 +18,7 @@ from graphspir import (
     regular_graph,
     star_graph,
 )
+from graphspir.graph import _signed_table
 
 
 def paw_graph():
@@ -314,12 +315,12 @@ class TestIncidenceIndex:
     @pytest.mark.parametrize("graph", INDEXED_GRAPHS.values(), ids=INDEXED_GRAPHS.keys())
     def test_signed_gather_reads_the_signed_row(self, graph):
         # the path's ends and the star's leaves have degree 1; the table
-        # holds a vector, then its negation
-        k = graph.n_edges
-        table = tuple(range(100, 100 + k)) + tuple(-x for x in range(100, 100 + k))
+        # holds a vector, then its negation mod q
+        q, coeffs = 1009, tuple(range(100, 100 + graph.n_edges))
+        table = _signed_table(coeffs, q)
         for vertex, gather in enumerate(graph._signed_gather, start=1):
             held, signs = _scanned_incidence(graph, vertex)
-            assert gather(table) == tuple(sign * (99 + e) for e, sign in zip(held, signs))
+            assert gather(table) == tuple(sign * (99 + e) % q for e, sign in zip(held, signs))
 
     def test_equality_and_hash_ignore_the_index(self):
         indexed, fresh = cycle_graph(5), cycle_graph(5)

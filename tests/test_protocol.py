@@ -334,12 +334,16 @@ def _assert_reference_queries(graph, q, target, coeffs):
 @pytest.mark.parametrize("graph", QUERIED_GRAPHS.values(), ids=QUERIED_GRAPHS.keys())
 def test_queries_match_the_incidence_reference(graph):
     # the path's ends and the star's leaves hold one message each; q=2 over
-    # every mask vector, q=3 and q=5 over seeded ones
+    # every mask vector, q=3 over every one up to 4 messages (path-3, star-5
+    # and the smaller graphs) and seeded ones beyond, q=5 over seeded ones
     k, rng = graph.n_edges, random.Random(graph.n_edges)
     for target in range(1, k + 1):
         for coeffs in F2.iter_vectors(k):
             _assert_reference_queries(graph, 2, target, coeffs)
-        for field in (F3, F5):
+        if k <= 4:
+            for coeffs in F3.iter_vectors(k):
+                _assert_reference_queries(graph, 3, target, coeffs)
+        for field in (F3, F5) if k > 4 else (F5,):
             for _ in range(20):
                 _assert_reference_queries(graph, field.modulus, target, field.sample_vector(rng, k))
 
