@@ -26,22 +26,24 @@ Audited constraints:
   given out of band, except the pads of the probed messages) is exactly
   independent of the messages it should not learn.
 
-Every answer the checks read comes from the protocol's answer function,
-``protocol._answer_slots``, split by its additivity into a message part and a
-pad part; the auditor keeps no copy of the answer arithmetic.
+Every answer the auditor reads comes from the protocol's answer function,
+``protocol._answer_slots``; the auditor keeps no copy of the answer
+arithmetic. The checks read each server's answer as a linear form in its
+messages and pads, read off two identity placements (``_answer_rows``). The
+view-table oracle (``server_view_table``) answers every view itself, so it
+reads the definition and assumes no linearity.
 
 State spaces grow as ``q^(3·K·L)``; a budget guard refuses enumerations
 beyond a configurable outcome count rather than silently auditing a subset.
 """
 
-import functools
 import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
 
 from .field import PrimeField
-from .graph import Graph, _signed_getter, _signed_table
+from .graph import Graph, _iterate, _signed_getter, _signed_table
 from .protocol import (
     ServerStore,
     _add_selector,
@@ -152,7 +154,7 @@ class CheckResult:
 def _resolve_targets(graph: Graph, targets) -> list[int]:
     if targets is None:
         return list(range(1, graph.n_edges + 1))
-    targets = list(targets)
+    targets = list(_iterate(targets, "targets", "message indices"))
     if not targets:
         raise ValueError("targets is empty: no per-target check would run")
     seen = set()
@@ -272,7 +274,8 @@ def _last_unit(vector):
 
 def _answer_rows(graph, q):
     """The linear form of every server's answer in one slot, read off the
-    protocol's answer function (``_answer_slots``) on unit stores.
+    protocol's answer function (``_answer_slots``) on two identity
+    placements.
 
     Returns ``(pad_rows, message_rows)``. ``pad_rows[n - 1][e - 1]`` is
     server ``n``'s answer to the unit pad at ``e`` (zero messages) under a
@@ -284,28 +287,33 @@ def _answer_rows(graph, q):
     ``sum_e W_e·message_rows(queries)[n - 1][e - 1] + Z_e·pad_rows[n - 1][e - 1]``
     mod q. A server's row reads the queries only through its own query row,
     so ``message_rows`` keeps it per ``(server, query row)``.
+
+    Both come from the K×K identity, placed once as K-symbol messages with
+    no pads and once as K-symbol pads with zero K-symbol messages: in
+    either, edge e's symbol t is 1 if t = e − 1 and 0 otherwise.
+    ``_answer_slots`` answers slot t from slot t's query and the held
+    symbols of slot t alone, the slot independence that the checks'
+    per-slot proofs also read. In slot t, a server holds the symbols of a
+    one-slot store with the unit message (or pad) at edge t + 1 if it holds
+    that edge, and zero symbols otherwise, to which a linear answer is 0.
+    So one call with the server's query row in every slot returns its
+    message row, slot t standing for edge t + 1, and one call with a zero
+    row in every slot returns its pad row. Each call builds these two
+    placements and no other store.
     """
     k = graph.n_edges
-    held = [graph.incident_edges(n) for n in range(1, graph.n_vertices + 1)]
-    units = [[(int(e == j),) for j in range(1, k + 1)] for e in range(1, k + 1)]
-    pad_units = [_place(graph, [(0,)] * k, z) for z in units]
-    message_units = [_place(graph, w, [()] * k) for w in units]
-
-    def answer_row(placements, n, row):
-        answers = [0] * k
-        for e in held[n - 1]:
-            answers[e - 1] = _answer_slots(placements[e - 1][n - 1], (row,), q)[0]
-        return answers
-
+    identity = [tuple(int(t == e) for t in range(k)) for e in range(k)]
+    message_stores = _place(graph, identity, [()] * k)
+    pad_stores = _place(graph, [(0,) * k] * k, identity)
     memo = {}
 
     def message_rows(queries):
         for n, row in enumerate(queries, start=1):
             if (n, row) not in memo:
-                memo[n, row] = answer_row(message_units, n, row)
+                memo[n, row] = _answer_slots(message_stores[n - 1], (row,) * k, q)
         return [memo[key] for key in enumerate(queries, start=1)]
 
-    pad_rows = [answer_row(pad_units, n, (0,) * len(edges)) for n, edges in enumerate(held, 1)]
+    pad_rows = [_answer_slots(s, ((0,) * len(s.held),) * k, q) for s in pad_stores]
     return pad_rows, message_rows
 
 
@@ -362,22 +370,28 @@ def server_view_table(
     graph._check_edge(target)
     graph._check_vertex(server)
     key = _selector_key(graph, server, target)
-    queries = _query_counts(graph, field, message_length, server, key, mask_queries)
+    slot_queries = _slot_queries(graph, field, server, mask_queries)
+    queries = _query_counts(slot_queries, field.modulus, message_length, key)
     return _view_counts(graph, field, message_length, pad_length, server, queries)
 
 
-def _query_counts(graph, field, message_length, server, key, mask_queries) -> Counter:
-    """Count the per-slot query tuples ``server`` receives in a round whose
-    target has its selector key ``key`` (``_selector_key``), over every
-    vector of its held mask coefficients in every slot. ``mask_queries=False``
-    sends the raw selector: the query with every coefficient zero. Each
-    query is read as ``protocol._queries`` reads it, by the server's signed
-    getter off the signed table, here of its held coefficients alone."""
+def _slot_queries(graph, field, server, mask_queries) -> list:
+    """Every single-slot query ``server`` receives before the selector, one
+    per vector of its held mask coefficients. ``mask_queries=False`` sends
+    the raw selector: the query with every coefficient zero. Each query is
+    read as ``protocol._queries`` reads it, by the server's signed getter
+    off the signed table, here of its held coefficients alone."""
     held, signs = graph._incidence[server - 1]
-    q, delta = field.modulus, len(held)
+    delta = len(held)
     gather = _signed_getter(range(delta), signs, delta)
     coeff_space = field.iter_vectors(delta) if mask_queries else [(0,) * delta]
-    slot_queries = [gather(_signed_table(coeffs, q)) for coeffs in coeff_space]
+    return [gather(_signed_table(coeffs, field.modulus)) for coeffs in coeff_space]
+
+
+def _query_counts(slot_queries, q, message_length, key) -> Counter:
+    """Count the per-slot query tuples a server receives in a round whose
+    target has its selector key ``key`` (``_selector_key``), given its
+    selector-free single-slot queries (``_slot_queries``)."""
     if key is not None:
         slot_queries = [_add_selector(query, key, q) for query in slot_queries]
     return Counter(itertools.product(slot_queries, repeat=message_length))
@@ -386,30 +400,18 @@ def _query_counts(graph, field, message_length, server, key, mask_queries) -> Co
 def _view_counts(graph, field, message_length, pad_length, server, query_counts) -> dict:
     """The view table of a server's query counts: every view
     ``(queries, answer, messages, pads)`` over all held messages and pads,
-    counted as its query tuple. The answer is the message part, the
-    protocol's answer to (messages, no pads), plus the pad part, its answer
-    to (no messages, pads) (``_answer_slots``), which reads no query."""
+    counted as its query tuple. Each answer is the protocol's answer
+    function (``_answer_slots``) on the store of those messages and pads,
+    so the table assumes nothing of how an answer is built."""
     held, signs = graph._incidence[server - 1]
-    q, delta = field.modulus, len(held)
-    store = functools.partial(ServerStore, server, held, signs)
-    message_space = list(itertools.product(field.iter_vectors(message_length), repeat=delta))
-    pad_space = list(itertools.product(field.iter_vectors(pad_length), repeat=delta))
-    message_stores = [store(messages, ((),) * delta) for messages in message_space]
-    zero_query, zero_messages = (0,) * delta, ((0,) * message_length,) * delta
-    pad_parts = [
-        _answer_slots(store(zero_messages, pads), (zero_query,) * message_length, q)
-        for pads in pad_space
-    ]
-    answers = {
-        part: [tuple((m + p) % q for m, p in zip(part, pad_part)) for pad_part in pad_parts]
-        for part in itertools.product(range(q), repeat=message_length)
-    }
+    message_space = itertools.product(field.iter_vectors(message_length), repeat=len(held))
+    pad_space = list(itertools.product(field.iter_vectors(pad_length), repeat=len(held)))
+    stores = [ServerStore(server, held, signs, w, z) for w in message_space for z in pad_space]
     views = {}
     for queries, count in query_counts.items():
-        for messages, message_store in zip(message_space, message_stores):
-            part = _answer_slots(message_store, queries, q)
-            for answer, pads in zip(answers[part], pad_space):
-                views[queries, answer, messages, pads] = count
+        for store in stores:
+            answer = _answer_slots(store, queries, field.modulus)
+            views[queries, answer, store.messages, store.pads] = count
     return views
 
 
@@ -443,9 +445,11 @@ def check_user_privacy(
     the tuples ``(y, …, y)`` count ``A[y]^L ≠ B[y]^L``. The query tables are
     counted over the whole held coefficient space, so an unmasked selector
     fails because its counts differ, not by an argument. A server's query
-    depends on the target only through ``_selector_key``, so it counts one
-    single-slot ``Counter`` of q^deg queries per distinct key (at most
-    ``1 + degree``), and no view is listed.
+    depends on the target only through ``_selector_key``, so it builds its
+    q^deg selector-free single-slot queries once (``_slot_queries``) and
+    counts one ``Counter`` of them per distinct key (at most
+    ``1 + degree``), each with that key's selector added, and no view is
+    listed.
 
     A failure's witness is the first cell, in sorted order, at which the
     two view tables differ, with its two counts. A query tuple whose counts
@@ -471,10 +475,12 @@ def check_user_privacy(
     _ensure_budget(graph, field, message_length, pad_length, budget)
     results = []
     for server in range(1, graph.n_vertices + 1):
-        degree = graph.degree(server)
+        slot_queries = _slot_queries(graph, field, server, mask_queries)
+        # a query has one entry per held message
+        degree = len(slot_queries[0])
         keys = {t: _selector_key(graph, server, t) for t in range(1, graph.n_edges + 1)}
         tables = {
-            key: _query_counts(graph, field, 1, server, key, mask_queries)
+            key: _query_counts(slot_queries, field.modulus, 1, key)
             for key in set(keys.values())
         }
         reference = tables[keys[1]]

@@ -234,8 +234,10 @@ def _answer_slots(store: ServerStore, queries, q: int, slot: int = 0) -> tuple[i
     zero the first, and reduction mod q respects addition. So the pad part
     answer(no messages, Z) reads nothing of the query. Both sums are also
     linear, so an answer is the sum of the answers to unit vectors, each
-    scaled by its symbol. The auditor builds every answer it checks from
-    these parts.
+    scaled by its symbol. Slots are independent: slot t's answer reads slot
+    t's query and the held symbols of slot t, and nothing of another slot.
+    The auditor's checks read these linear forms (``auditor._answer_rows``),
+    and its view-table oracle answers each view itself.
 
     The two sums are read from the store's cached views: the message column
     of the slot, and the slot's signed pad sum, which is computed once per

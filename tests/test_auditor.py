@@ -23,6 +23,7 @@ import graphspir.auditor as auditor
 import graphspir.cli as cli
 import graphspir.protocol as protocol
 from formula_oracles import paw_graph
+from test_small_graphs import SMALL_GRAPHS
 from graphspir import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -47,9 +48,10 @@ from graphspir.auditor import (
     _query_order,
     _rank,
     _reliability_witness,
+    _slot_queries,
     _view_counts,
 )
-from graphspir.protocol import ServerStore, _answer_slots, _selector_key, gen_queries
+from graphspir.protocol import ServerStore, _answer_slots, _place, _selector_key, gen_queries
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -58,6 +60,9 @@ F5 = PrimeField(5)
 # edges out of order: the first appearances of the mask coefficients in the
 # queries, edge by edge at each smaller holder, are 2, 5, 3, 6, 1, 4
 UNSORTED = build_graph(5, [(3, 5), (1, 4), (2, 3), (4, 5), (1, 2), (2, 5)])
+
+# the whole message of a refused non-iterable target list
+NON_ITERABLE_TARGETS = r"^targets must be an iterable of message indices, got 5$"
 
 
 @dataclass(frozen=True)
@@ -336,6 +341,10 @@ class TestReliability:
     def test_repeated_target_rejected(self):
         with pytest.raises(ValueError, match="target 2 is repeated"):
             check_reliability(path_graph(3), F2, 1, targets=[2, 2])
+
+    def test_non_iterable_targets_rejected(self):
+        with pytest.raises(ValueError, match=NON_ITERABLE_TARGETS):
+            check_reliability(path_graph(3), F2, 1, targets=5)
 
     @pytest.mark.parametrize("server", [True, 2.0, "2"])
     def test_non_int_drop_server_rejected(self, server):
@@ -624,6 +633,10 @@ class TestDatabasePrivacy:
     def test_repeated_target_rejected(self):
         with pytest.raises(ValueError, match="target 1 is repeated"):
             check_database_privacy(path_graph(3), F2, 1, targets=[1, 2, 1])
+
+    def test_non_iterable_targets_rejected(self):
+        with pytest.raises(ValueError, match=NON_ITERABLE_TARGETS):
+            check_database_privacy(path_graph(3), F2, 1, targets=5)
 
     def test_tabulation_keeps_no_realization_list(self):
         # the 2^12 outcomes of one target cost ~6 MiB as a list of tuples
@@ -1030,7 +1043,7 @@ class TestSelectorKey:
         graph = paw_graph()
         for server in range(1, graph.n_vertices + 1):
             for key, targets in self._targets_by_key(graph, server).items():
-                queries = _query_counts(graph, F2, 1, server, key, mask)
+                queries = _query_counts(_slot_queries(graph, F2, server, mask), 2, 1, key)
                 shared = _view_counts(graph, F2, 1, 1, server, queries)
                 for target in targets:
                     fresh = _reference_server_view_table(graph, F2, 1, target, server, 1, mask)
@@ -1161,6 +1174,10 @@ class TestRunAudit:
         with pytest.raises(ValueError, match="empty"):
             run_audit(path_graph(3), F2, 1, targets=[])
 
+    def test_non_iterable_targets_rejected(self):
+        with pytest.raises(ValueError, match=NON_ITERABLE_TARGETS):
+            run_audit(path_graph(3), F2, 1, targets=5)
+
     def test_budget_guard_sizes(self):
         with pytest.raises(BudgetExceededError) as info:
             run_audit(complete_graph(4), F3, 1)
@@ -1224,3 +1241,103 @@ def test_database_privacy_reads_the_shipped_answer_function(monkeypatch):
     _patch_answer_function(monkeypatch, _answer_without_pads)
     results = check_database_privacy(path_graph(3), F3, 1)
     assert any(not c.passed and c.witness is not None for c in results)
+
+
+def _bind_answer(monkeypatch, answer):
+    """Bind ``answer`` wherever the package binds the shipped answer function,
+    and as this module's ``_answer_slots``, which the reference tables read."""
+    _patch_answer_function(monkeypatch, answer)
+    monkeypatch.setitem(globals(), "_answer_slots", answer)
+
+
+def _reference_answer_rows(graph, q):
+    """``_answer_rows`` as first written: one unit placement per edge, for
+    messages and for pads, and one ``_answer_slots`` call per held edge."""
+    k = graph.n_edges
+    held = [graph.incident_edges(n) for n in range(1, graph.n_vertices + 1)]
+    units = [[(int(e == j),) for j in range(1, k + 1)] for e in range(1, k + 1)]
+    pad_units = [_place(graph, [(0,)] * k, z) for z in units]
+    message_units = [_place(graph, w, [()] * k) for w in units]
+
+    def answer_row(placements, n, row):
+        answers = [0] * k
+        for e in held[n - 1]:
+            answers[e - 1] = _answer_slots(placements[e - 1][n - 1], (row,), q)[0]
+        return answers
+
+    def message_rows(queries):
+        return [answer_row(message_units, n, row) for n, row in enumerate(queries, start=1)]
+
+    pad_rows = [answer_row(pad_units, n, (0,) * len(edges)) for n, edges in enumerate(held, 1)]
+    return pad_rows, message_rows
+
+
+ROW_GRAPHS = [build_graph(n, edges) for n, lists in SMALL_GRAPHS.items() for edges in lists]
+ROW_GRAPHS.append(UNSORTED)
+ANSWER_FUNCTIONS = {
+    "shipped": None,
+    "unsigned-pads": _answer_with_unsigned_pads,
+    "no-pads": _answer_without_pads,
+}
+
+
+@pytest.mark.parametrize("answer", ANSWER_FUNCTIONS.values(), ids=ANSWER_FUNCTIONS.keys())
+@pytest.mark.parametrize("field", [F2, F3], ids=["q2", "q3"])
+def test_answer_rows_equal_the_unit_probe(monkeypatch, field, answer):
+    """Reading each row off the identity placements gives what probing one
+    unit placement per edge gives, for every server and every query row of
+    every atlas graph and the unsorted-edge graph."""
+    if answer:
+        _bind_answer(monkeypatch, answer)
+    q = field.modulus
+    for graph in ROW_GRAPHS:
+        pad_rows, message_rows = auditor._answer_rows(graph, q)
+        reference_pads, reference_messages = _reference_answer_rows(graph, q)
+        assert [list(row) for row in pad_rows] == reference_pads
+        zeros = [(0,) * graph.degree(n) for n in range(1, graph.n_vertices + 1)]
+        for n in range(1, graph.n_vertices + 1):
+            for row in field.iter_vectors(graph.degree(n)):
+                queries = tuple(row if m == n else zero for m, zero in enumerate(zeros, 1))
+                assert [list(r) for r in message_rows(queries)] == reference_messages(queries)
+
+
+def test_answer_rows_build_two_placements(monkeypatch):
+    placements = []
+    place = auditor._place
+
+    def counted(graph, messages, pads):
+        placements.append(len(messages))
+        return place(graph, messages, pads)
+
+    monkeypatch.setattr(auditor, "_place", counted)
+    auditor._answer_rows(complete_graph(4), 3)
+    assert placements == [6, 6]
+
+
+# the shipped answer function, kept for ``_answer_with_product`` while the
+# tests rebind ``_answer_slots``
+_SHIPPED_ANSWER = _answer_slots
+
+
+def _answer_with_product(store, queries, q, first=0):
+    """The shipped answer plus, in each slot, the product of the first held
+    message's and pad's symbols there: an answer that is not the sum of its
+    answer to the messages alone and its answer to the pads alone."""
+    message, pad = store.messages[0], store.pads[0]
+    return tuple(
+        (answer + message[slot] * (pad[slot] if slot < len(pad) else 0)) % q
+        for slot, answer in enumerate(_SHIPPED_ANSWER(store, queries, q, first), first)
+    )
+
+
+def test_view_tables_answer_every_view(monkeypatch):
+    """Under an answer that is not additive in the messages and the pads,
+    ``server_view_table`` still equals the definition-level reference: it
+    answers each view itself, and builds no answer from a message part and
+    a pad part."""
+    _bind_answer(monkeypatch, _answer_with_product)
+    for graph in (path_graph(3), cycle_graph(4)):
+        for target in range(1, graph.n_edges + 1):
+            for server in range(1, graph.n_vertices + 1):
+                table = server_view_table(graph, F2, 1, target, server)
+                assert table == _reference_server_view_table(graph, F2, 1, target, server)

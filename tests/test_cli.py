@@ -257,6 +257,15 @@ STDOUT_DIGESTS = {
         ["audit", "--family", "star", "--n", "4", "--q", "2", "--degrade-pads"],
         "90688b72dc8284d62108f1403c6cdf61b556b548a47b056e49555e853c97f196",
     ),
+    "star4-q3": (
+        ["audit", "--family", "star", "--n", "4", "--q", "3"],
+        "316bf62b6cd85f2e33c38a9de317d5a664c5549ab61a65e5a356acad74806a49",
+    ),
+    # K = 6: 186 failing database-privacy checks, each with its witness
+    "complete4-degraded": (
+        ["audit", "--family", "complete", "--n", "4", "--q", "2", "--degrade-pads"],
+        "dab20894d945a831d16dbd4fb84621d09d5f9debd86b273ab9788d3af8b01384",
+    ),
     # two bare slots: 15 witnesses, each from a table of 2^20 outcomes
     "cycle5-L2-degraded-theta1": (
         ["audit", "--family", "cycle", "--n", "5", "--q", "2", "--degrade-pads",
