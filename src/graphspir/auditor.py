@@ -1,18 +1,20 @@
 """Exhaustive, exact audits of the retrieval scheme.
 
 Every verdict here is exact — no sampling, no floating point, no tolerances.
-Reliability and database privacy are exhaustive over the mask coefficients
-of one slot and algebraic over messages and pads. Reliability reads the
-decoding defect of each mask vector and the pads' weights, and builds a
-failure's witness from their last nonzero entries without walking any
-message or pad. Database privacy is an exact rank
-test mod q; a failure's witness is the first cell of the joint count table
-that fails cross-multiplication (``count(a,b) * total == count(a) *
-count(b)``), computed from the same ranks without listing an outcome. User
-privacy is decided on each server's single-slot query counts, which fix its
-view tables exactly; a failure's witness, the first cell at which two view
-tables differ, and its counts are computed from the same query counts
-without listing a view.
+Reliability and database privacy are algebraic over messages and pads.
+Database privacy is exhaustive over the mask coefficients of one slot.
+Reliability reads the decoding defect, which is affine in the mask vector h,
+at h = 0 and at each unit h: K + 1 probes per target, O(N·K²) operations in
+place of a walk over the q^K mask vectors. It builds a failure's witness
+from the last nonzero entries of the probes' defects and the pads' weights,
+without walking any mask vector, message or pad. Database privacy is an
+exact rank test mod q; a failure's witness is the first cell of the joint
+count table that fails cross-multiplication (``count(a,b) * total ==
+count(a) * count(b)``), computed from the same ranks without listing an
+outcome. User privacy is decided on each server's single-slot query
+counts, which fix its view tables exactly; a failure's witness, the first
+cell at which two view tables differ, and its counts are computed from the
+same query counts without listing a view.
 
 Audited constraints:
 
@@ -29,9 +31,11 @@ Audited constraints:
 Every answer the auditor reads comes from the protocol's answer function,
 ``protocol._answer_slots``; the auditor keeps no copy of the answer
 arithmetic. The checks read each server's answer as a linear form in its
-messages and pads, read off two identity placements (``_answer_rows``). The
-view-table oracle (``server_view_table``) answers every view itself, so it
-reads the definition and assumes no linearity.
+messages and pads, read off two identity placements (``_answer_rows``), and
+reliability reads the queries as affine in h (``check_reliability``); the
+tests check it against decoding every enumerated outcome. The view-table
+oracle (``server_view_table``) answers every view itself, so it reads the
+definition and assumes no linearity.
 
 State spaces grow as ``q^(3·K·L)``; a budget guard refuses enumerations
 beyond a configurable outcome count rather than silently auditing a subset.
@@ -200,6 +204,22 @@ def check_reliability(
     it in that order is zero at entry i and at every earlier one, so it
     meets d only where d is 0, and the unit vector has value ``d_i ≠ 0``.
 
+    The defect is affine in h: ``defect(h) = d₀ − D·h`` mod q, with
+    ``d₀ = defect(0)``. Proof: ``protocol._queries`` reads each server's
+    row off ``_signed_table(h, q)``, whose entries are h and −h mod q, so
+    every row is linear in h; ``_add_selector`` then adds 1 at one position
+    fixed by the target, a constant. A server's message row is its answers
+    to the unit messages, with no pads, under its query row
+    (``_answer_rows``), and ``_answer_slots`` answers ``sum(c·W)`` there,
+    linear in the query row. So the weights, a sum of kept rows, are affine
+    in h, and so is the defect. An affine map is fixed by its values at 0
+    and at the K unit vectors: column i of D is ``d₀ − defect(u_i)``. So
+    K + 1 probes per target decide every h, O(N·K²) operations in place of
+    a walk over the q^K mask vectors. Affinity is assumed, not checked here:
+    a query rule or answer function that is right at 0 and at every unit
+    vector but not affine would pass. The tests check this check against
+    one that decodes every outcome of ``iter_transcript_outcomes``.
+
     So if a slot has a pad and some pad weight is nonzero, ``r`` takes
     every value: in enumeration order the padded variant comes first, and
     its first outcome, the zero mask vector with zero messages, fails at the
@@ -208,13 +228,16 @@ def check_reliability(
     ``defect(h)·W ≠ 0``. No h with a zero defect fails (1), and the first h
     with a nonzero defect fails first at the unit message at the defect's
     last nonzero entry (2), with the zero pads (``None`` when no slot has a
-    pad) in the first variant. The defect does not read the pads, so a
-    variant that passes is followed by one that passes too. Each target is
-    therefore decided in one pass over its mask vectors, and its witness is
-    the first failing outcome of the full enumeration. ``enumerated``
-    counts the outcomes of every slot variant visited, ``q^(2K)`` pairs
-    times the variant's pad vectors, as a full enumeration that stops after
-    the first failing variant would.
+    pad) in the first variant. If ``d₀ ≠ 0``, that first h is 0. Otherwise
+    ``defect(h) = −D·h``, and every h passes iff every unit probe's defect
+    is 0. If not, the first h with ``D·h ≠ 0`` is the unit vector at D's
+    last nonzero column j, by the argument of (2) with the columns of D in
+    place of the entries of d, and its defect is the probe at ``u_j``. The
+    defect does not read the pads, so a variant that passes is followed by
+    one that passes too. The witness is therefore the first failing outcome
+    of the full enumeration. ``enumerated`` counts the outcomes of every
+    slot variant visited, ``q^(2K)`` pairs times the variant's pad vectors,
+    as a full enumeration that stops after the first failing variant would.
 
     ``drop_server`` excludes one server's answer from decoding; it exists as
     a negative control and makes the check fail with a witness.
@@ -232,22 +255,28 @@ def check_reliability(
     # the pad vectors of each slot variant, the padded one first
     pad_counts = [q**k] * (pad_length > 0) + [1] * (pad_length < message_length)
     zero = (0,) * k
+    units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+
+    def defect(target, coeffs):
+        """The decoding defect under the queries of ``coeffs``, a vector of
+        field elements, so its queries are built unchecked."""
+        rows = message_rows(_queries(graph, q, target, coeffs))
+        weights = map(sum, zip(*[rows[i] for i in kept]))
+        return [(int(e == target - 1) - w) % q for e, w in enumerate(weights)]
 
     results = []
     for target in _resolve_targets(graph, targets):
-        failure = None
-        # each h comes from iter_vectors, so its queries are built unchecked
-        for coeffs in field.iter_vectors(k):
-            rows = message_rows(_queries(graph, q, target, coeffs))
-            weights = [sum(column) for column in zip(*[rows[i] for i in kept])]
-            defect = [(int(e == target - 1) - w) % q for e, w in enumerate(weights)]
-            if pad_shift:
-                failure = coeffs, zero, _last_unit(pad_weights), True
-            elif any(defect):
-                failure = coeffs, _last_unit(defect), zero if pad_length else None, pad_length > 0
-            if failure:
-                break
-        witness = None
+        # the zero h first; if it decodes, every unit h
+        probes = [(zero, defect(target, zero))]
+        if not pad_shift and not any(probes[0][1]):
+            probes = [(unit, defect(target, unit)) for unit in units]
+        failing = [(coeffs, d) for coeffs, d in probes if any(d)]
+        failure = witness = None
+        if pad_shift:
+            failure = zero, zero, _last_unit(pad_weights), True
+        elif failing:
+            coeffs, d = failing[-1]
+            failure = coeffs, _last_unit(d), zero if pad_length else None, pad_length > 0
         if failure:
             witness = _reliability_witness(
                 graph, field, message_length, pad_length, target, drop_server, failure

@@ -51,7 +51,7 @@ from graphspir.auditor import (
     _slot_queries,
     _view_counts,
 )
-from graphspir.protocol import ServerStore, _answer_slots, _place, _selector_key, gen_queries
+from graphspir.protocol import ServerStore, _answer_slots, _place, _selector_key, decode, gen_queries
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -770,7 +770,8 @@ def test_leaking_witnesses_enumerate_no_outcome(monkeypatch):
 
 
 class TestWorkCount:
-    """A passing target costs O(q^K) work: counted calls, not wall time."""
+    """A passing target costs O(q^K) database-privacy work and K + 1
+    reliability probes: counted calls, not wall time."""
 
     def test_database_privacy_tests_each_edge_not_each_subset(self, monkeypatch):
         calls = []
@@ -811,33 +812,45 @@ class TestWorkCount:
         assert len(built) == q**k
 
     def test_passing_reliability_never_walks_the_messages(self, monkeypatch):
-        lengths = []
+        """The defect is affine in h, so a target reads h = 0, then, if that
+        decodes, each unit h: no mask vector, message or pad is walked."""
+        lengths, probes = [], []
         iter_vectors = PrimeField.iter_vectors
+        queries = auditor._queries
 
-        def counted(field, length):
+        def counted_vectors(field, length):
             lengths.append(length)
             return iter_vectors(field, length)
 
-        monkeypatch.setattr(PrimeField, "iter_vectors", counted)
+        def counted_queries(graph, q, target, coeffs):
+            probes.append(target)
+            return queries(graph, q, target, coeffs)
+
+        monkeypatch.setattr(PrimeField, "iter_vectors", counted_vectors)
+        monkeypatch.setattr(auditor, "_queries", counted_queries)
+
+        def probe_counts(*args, **kwargs):
+            lengths.clear()
+            probes.clear()
+            results = check_reliability(*args, **kwargs)
+            assert lengths == []
+            return [c.passed for c in results], Counter(probes)
+
         k = 5
-        results = check_reliability(cycle_graph(k), F2, 1)
-        assert len(results) == k and all(c.passed for c in results)
-        # one mask-vector loop per target and no pad space; a message or pad
-        # walk would add a call
-        assert lengths == [k] * k
-
-        lengths.clear()
-        results = check_reliability(cycle_graph(k), F2, 1, drop_server=1, targets=[1])
-        assert not results[0].passed
-        # the dropped server's pads shift the sum, so the loop stops at its
-        # first mask vector
-        assert lengths == [k]
-
-        lengths.clear()
-        results = check_reliability(path_graph(3), F2, 2, pad_length=1)
-        assert len(results) == 2 and all(c.passed for c in results)
-        # one mask-vector loop per target, not one per slot variant
-        assert lengths == [2] * 2
+        # every target passes: h = 0 and the K unit vectors
+        assert probe_counts(cycle_graph(k), F2, 1) == ([True] * k, dict.fromkeys(range(1, k + 1), k + 1))
+        # the dropped server's pads shift the sum, so h = 0 fails
+        assert probe_counts(cycle_graph(k), F2, 1, drop_server=1, targets=[1]) == ([False], {1: 1})
+        # no pads, and the dropped server holds the selector: h = 0 fails
+        assert probe_counts(
+            cycle_graph(k), F2, 1, pad_length=0, drop_server=2, targets=[1]
+        ) == ([False], {1: 1})
+        # no pads, and h = 0 decodes: a unit h fails, after every unit probe
+        assert probe_counts(
+            cycle_graph(k), F2, 1, pad_length=0, drop_server=1, targets=[1]
+        ) == ([False], {1: k + 1})
+        # one set of probes per target, not one per slot variant
+        assert probe_counts(path_graph(3), F2, 2, pad_length=1) == ([True] * 2, {1: 3, 2: 3})
 
 
 def _reference_server_view_table(
@@ -1341,3 +1354,81 @@ def test_view_tables_answer_every_view(monkeypatch):
             for server in range(1, graph.n_vertices + 1):
                 table = server_view_table(graph, F2, 1, target, server)
                 assert table == _reference_server_view_table(graph, F2, 1, target, server)
+
+
+def _enumerated_reliability(graph, field, message_length, pad_length=None, drop_server=None):
+    """Per target, whether every outcome of the transcript enumerator decodes
+    the kept answers to the target message: reliability by its definition,
+    through the protocol's query rule (``_queries``, ``_add_selector``) and
+    answer function (``_answer_slots``), with no linearity assumed."""
+    verdicts = []
+    for target in range(1, graph.n_edges + 1):
+        outcomes = iter_transcript_outcomes(graph, field, message_length, target, pad_length)
+        verdicts.append(all(
+            decode(field, [a for n, a in enumerate(answers, 1) if n != drop_server])
+            == messages[target - 1]
+            for messages, _, _, _, answers in outcomes
+        ))
+    return verdicts
+
+
+# the shipped selector rule, kept for ``_non_affine_selector`` while the
+# tests rebind ``_add_selector``
+_SHIPPED_SELECTOR = protocol._add_selector
+
+
+def _non_affine_selector(query, position, q):
+    """The protocol's selector, plus 1 more at the selected entry wherever the
+    query holds two or more nonzero entries. A query holds at most one at
+    h = 0 and at a unit h, where this rule is right; it is not affine in h."""
+    selected = _SHIPPED_SELECTOR(query, position, q)
+    if sum(1 for x in query if x) < 2:
+        return selected
+    return _SHIPPED_SELECTOR(selected, position, q)
+
+
+# without pads, a dropped server makes the targets it selects fail at h = 0
+# and the others at a unit h
+ENUMERATOR_CASES = {
+    f"{name}-q{field.modulus}{'-no-pads' * (pads == 0)}-drop{drop}": (graph, field, pads, drop)
+    for name, graph, field in [
+        ("path3", path_graph(3), F2),
+        ("path3", path_graph(3), F3),
+        ("cycle3", cycle_graph(3), F2),
+        ("cycle4", cycle_graph(4), F2),
+    ]
+    for pads in (None, 0)
+    for drop in (None, *range(1, graph.n_vertices + 1))
+}
+
+
+@pytest.mark.parametrize("answer", ANSWER_FUNCTIONS.values(), ids=ANSWER_FUNCTIONS.keys())
+@pytest.mark.parametrize("case", ENUMERATOR_CASES.values(), ids=ENUMERATOR_CASES.keys())
+def test_reliability_matches_the_enumerator(monkeypatch, case, answer):
+    """Each target's verdict equals decoding every enumerated outcome, under
+    the shipped answer function and both broken ones."""
+    graph, field, pads, drop = case
+    if answer:
+        _patch_answer_function(monkeypatch, answer)
+    results = check_reliability(graph, field, 1, pad_length=pads, drop_server=drop)
+    assert [c.passed for c in results] == _enumerated_reliability(graph, field, 1, pads, drop)
+
+
+NON_AFFINE_CASES = {
+    "path3-q2": (path_graph(3), F2, [False, True]),
+    "path3-q3": (path_graph(3), F3, [False, True]),
+    "cycle3-q2": (cycle_graph(3), F2, [False] * 3),
+    "cycle4-q2": (cycle_graph(4), F2, [False] * 4),
+}
+
+
+@pytest.mark.parametrize("case", NON_AFFINE_CASES.values(), ids=NON_AFFINE_CASES.keys())
+def test_reliability_assumes_an_affine_query_rule(monkeypatch, case):
+    """Under a query rule that is right at h = 0 and at every unit h but not
+    affine, the enumerator finds decode errors that the check, which probes
+    only those K + 1 mask vectors, does not: the check assumes affinity, and
+    this pins what it misses."""
+    graph, field, expected = case
+    _patch_selector(monkeypatch, _non_affine_selector)
+    assert _enumerated_reliability(graph, field, 1) == expected
+    assert all(c.passed for c in check_reliability(graph, field, 1))

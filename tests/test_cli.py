@@ -266,6 +266,11 @@ STDOUT_DIGESTS = {
         ["audit", "--family", "complete", "--n", "4", "--q", "2", "--degrade-pads"],
         "dab20894d945a831d16dbd4fb84621d09d5f9debd86b273ab9788d3af8b01384",
     ),
+    # K = 6 at q = 3, a joint space of 3^18 outcomes beyond the default budget
+    "complete4-q3": (
+        ["audit", "--family", "complete", "--n", "4", "--q", "3", "--budget", "1099511627776"],
+        "3828294f7a4651897141c7a51455e61dd6baf848eb80387af1d65ae857041026",
+    ),
     # two bare slots: 15 witnesses, each from a table of 2^20 outcomes
     "cycle5-L2-degraded-theta1": (
         ["audit", "--family", "cycle", "--n", "5", "--q", "2", "--degrade-pads",
