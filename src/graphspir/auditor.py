@@ -1,17 +1,26 @@
-"""Exhaustive, exact audits of the retrieval scheme.
+"""Exact audits of the retrieval scheme.
 
-Every verdict here is exact — no sampling, no floating point, no tolerances.
-Reliability and database privacy are algebraic over messages and pads.
-Database privacy is exhaustive over the mask coefficients of one slot.
-Reliability reads the decoding defect, which is affine in the mask vector h,
-at h = 0 and at each unit h: K + 1 probes per target, O(N·K²) operations in
-place of a walk over the q^K mask vectors. It builds a failure's witness
-from the last nonzero entries of the probes' defects and the pads' weights,
-without walking any mask vector, message or pad. Database privacy is an
-exact rank test mod q; a failure's witness is the first cell of the joint
-count table that fails cross-multiplication (``count(a,b) * total ==
-count(a) * count(b)``), computed from the same ranks without listing an
-outcome. User privacy is decided on each server's single-slot query
+Every verdict here is exact — no sampling, no floating point, no tolerances
+— with one assumption: reliability and database privacy take every query
+to be affine in the mask vector h, and would pass a query rule that is
+right at h = 0 and at each unit h but not affine. The tests check that
+assumption for the shipped query rule against oracles that enumerate or
+tabulate every outcome.
+
+Reliability and database privacy are algebraic over messages and pads,
+and both read one affine mask model per call (``_mask_model``): every
+target's answer rows at the zero mask vector h, and each unit h's change to
+them, which is the same for every target. That is 2K probes for a call of
+K targets, in place of a walk over the q^K mask vectors. Reliability builds
+a failure's witness from the last nonzero entries of the model's defects
+and the pads' weights, without walking any mask vector, message or pad.
+Database privacy is an exact rank test mod q, decided per edge from the
+model; only a target with an edge outside its pad's span walks its q^K
+mask vectors, and a
+failure's witness is the first cell of the joint count table that fails
+cross-multiplication (``count(a,b) * total == count(a) * count(b)``),
+computed from the same ranks without listing an outcome. User privacy is
+decided on each server's single-slot query
 counts, which fix its view tables exactly; a failure's witness, the first
 cell at which two view tables differ, and its counts are computed from the
 same query counts without listing a view.
@@ -32,8 +41,8 @@ Every answer the auditor reads comes from the protocol's answer function,
 ``protocol._answer_slots``; the auditor keeps no copy of the answer
 arithmetic. The checks read each server's answer as a linear form in its
 messages and pads, read off two identity placements (``_answer_rows``), and
-reliability reads the queries as affine in h (``check_reliability``); the
-tests check it against decoding every enumerated outcome. The view-table
+read the queries as affine in h (``_mask_model``); the tests check both
+checks against tabulating every enumerated outcome. The view-table
 oracle (``server_view_table``) answers every view itself, so it reads the
 definition and assumes no linearity.
 
@@ -205,20 +214,14 @@ def check_reliability(
     meets d only where d is 0, and the unit vector has value ``d_i ≠ 0``.
 
     The defect is affine in h: ``defect(h) = d₀ − D·h`` mod q, with
-    ``d₀ = defect(0)``. Proof: ``protocol._queries`` reads each server's
-    row off ``_signed_table(h, q)``, whose entries are h and −h mod q, so
-    every row is linear in h; ``_add_selector`` then adds 1 at one position
-    fixed by the target, a constant. A server's message row is its answers
-    to the unit messages, with no pads, under its query row
-    (``_answer_rows``), and ``_answer_slots`` answers ``sum(c·W)`` there,
-    linear in the query row. So the weights, a sum of kept rows, are affine
-    in h, and so is the defect. An affine map is fixed by its values at 0
-    and at the K unit vectors: column i of D is ``d₀ − defect(u_i)``. So
-    K + 1 probes per target decide every h, O(N·K²) operations in place of
-    a walk over the q^K mask vectors. Affinity is assumed, not checked here:
-    a query rule or answer function that is right at 0 and at every unit
-    vector but not affine would pass. The tests check this check against
-    one that decodes every outcome of ``iter_transcript_outcomes``.
+    ``d₀ = defect(0)``, since the message rows are (``_mask_model``). Column
+    i of D is the kept servers' summed row change under the unit h at edge
+    i + 1, the same for every target. So one h = 0 probe per target and K
+    unit probes per call decide every h, in place of a walk over the q^K
+    mask vectors. Affinity is assumed, not checked here: a query rule or
+    answer function that is right at 0 and at every unit vector but not
+    affine would pass. The tests check this check against one that decodes
+    every outcome of ``iter_transcript_outcomes``.
 
     So if a slot has a pad and some pad weight is nonzero, ``r`` takes
     every value: in enumeration order the padded variant comes first, and
@@ -229,15 +232,15 @@ def check_reliability(
     with a nonzero defect fails first at the unit message at the defect's
     last nonzero entry (2), with the zero pads (``None`` when no slot has a
     pad) in the first variant. If ``d₀ ≠ 0``, that first h is 0. Otherwise
-    ``defect(h) = −D·h``, and every h passes iff every unit probe's defect
-    is 0. If not, the first h with ``D·h ≠ 0`` is the unit vector at D's
-    last nonzero column j, by the argument of (2) with the columns of D in
-    place of the entries of d, and its defect is the probe at ``u_j``. The
-    defect does not read the pads, so a variant that passes is followed by
-    one that passes too. The witness is therefore the first failing outcome
-    of the full enumeration. ``enumerated`` counts the outcomes of every
-    slot variant visited, ``q^(2K)`` pairs times the variant's pad vectors,
-    as a full enumeration that stops after the first failing variant would.
+    ``defect(h) = −D·h``, and every h passes iff D is 0. If not, the first
+    h with ``D·h ≠ 0`` is the unit vector at D's last nonzero column j, by
+    the argument of (2) with the columns of D in place of the entries of d,
+    and its defect is ``−D_j``. The defect does not read the pads, so a
+    variant that passes is followed by one that passes too. The witness is
+    therefore the first failing outcome of the full enumeration.
+    ``enumerated`` counts the outcomes of every slot variant visited,
+    ``q^(2K)`` pairs times the variant's pad vectors, as a full enumeration
+    that stops after the first failing variant would.
 
     ``drop_server`` excludes one server's answer from decoding; it exists as
     a negative control and makes the check fail with a witness.
@@ -249,33 +252,33 @@ def check_reliability(
     q = field.modulus
     k = graph.n_edges
     pad_rows, message_rows = _answer_rows(graph, q)
-    kept = [n - 1 for n in range(1, graph.n_vertices + 1) if n != drop_server]
+    kept = {n - 1 for n in range(1, graph.n_vertices + 1) if n != drop_server}
     pad_weights = [sum(column) % q for column in zip(*[pad_rows[i] for i in kept])]
     pad_shift = pad_length > 0 and any(pad_weights)
     # the pad vectors of each slot variant, the padded one first
     pad_counts = [q**k] * (pad_length > 0) + [1] * (pad_length < message_length)
     zero = (0,) * k
-    units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
-
-    def defect(target, coeffs):
-        """The decoding defect under the queries of ``coeffs``, a vector of
-        field elements, so its queries are built unchecked."""
-        rows = message_rows(_queries(graph, q, target, coeffs))
-        weights = map(sum, zip(*[rows[i] for i in kept]))
-        return [(int(e == target - 1) - w) % q for e, w in enumerate(weights)]
+    targets = _resolve_targets(graph, targets)
+    zero_rows, changes = _mask_model(graph, q, targets, message_rows)
+    # D's last nonzero column j, with the unit h at j and its defect −D_j
+    slope = None
+    for j in reversed(range(k)):
+        column = [-sum(c) % q for c in zip(*[r for n, r in changes[j].items() if n in kept])]
+        if any(column):
+            slope = zero[:j] + (1,) + zero[j + 1:], column
+            break
 
     results = []
-    for target in _resolve_targets(graph, targets):
-        # the zero h first; if it decodes, every unit h
-        probes = [(zero, defect(target, zero))]
-        if not pad_shift and not any(probes[0][1]):
-            probes = [(unit, defect(target, unit)) for unit in units]
-        failing = [(coeffs, d) for coeffs, d in probes if any(d)]
+    for target in targets:
+        rows = zero_rows[target]
+        weights = map(sum, zip(*[rows[i] for i in kept]))
+        d0 = [(int(e == target - 1) - w) % q for e, w in enumerate(weights)]
+        probe = (zero, d0) if any(d0) else slope
         failure = witness = None
         if pad_shift:
             failure = zero, zero, _last_unit(pad_weights), True
-        elif failing:
-            coeffs, d = failing[-1]
+        elif probe:
+            coeffs, d = probe
             failure = coeffs, _last_unit(d), zero if pad_length else None, pad_length > 0
         if failure:
             witness = _reliability_witness(
@@ -344,6 +347,45 @@ def _answer_rows(graph, q):
 
     pad_rows = [_answer_slots(s, ((0,) * len(s.held),) * k, q) for s in pad_stores]
     return pad_rows, message_rows
+
+
+def _mask_model(graph, q, targets, message_rows):
+    """The affine mask model of one call: every target's message rows
+    (``_answer_rows``) at the zero mask vector h, and each unit h's change
+    to them, which is the same for every target.
+
+    Returns ``(zero_rows, changes)``. ``zero_rows[θ]`` lists every server's
+    message row under θ's queries at h = 0. ``changes[i]`` maps the index
+    ``n - 1`` of each server whose query row moves under the unit h at edge
+    ``i + 1`` to the change of its message row mod q. Every other server's
+    row is unchanged, since ``message_rows`` reads a server's row off its
+    own query row alone; in the shipped query rule only the edge's two
+    holders move. So under θ's queries at h, server n's message row is
+    ``zero_rows[θ][n - 1]`` plus ``h_i·changes[i][n - 1]`` for each i whose
+    change holds n, mod q, for every θ. Proof: ``protocol._queries`` reads each server's row off
+    ``_signed_table(h, q)``, whose entries are h and −h mod q, so the row is
+    linear in h; ``_add_selector`` then adds 1 at one position fixed by θ,
+    a constant. A message row is ``_answer_slots``' answers ``sum(c·W)`` to
+    the unit messages under the query row, linear in that row. So the rows
+    are affine in h, and their change from h = 0 is linear in h and reads
+    nothing of θ: it is fixed by its values at the unit vectors, probed
+    under the first target. That is one probe per target and one per unit
+    h, 2K for a call of K targets. Affinity is assumed, not checked: the
+    tests compare both checks that read the model with tabulations of every
+    outcome of ``iter_transcript_outcomes``.
+    """
+    zero, first = (0,) * graph.n_edges, targets[0]
+    queries = {target: _queries(graph, q, target, zero) for target in targets}
+    zero_rows = {target: message_rows(row) for target, row in queries.items()}
+    changes = []
+    for i in range(graph.n_edges):
+        moved = _queries(graph, q, first, zero[:i] + (1,) + zero[i + 1:])
+        moved_rows = message_rows(moved)
+        changes.append({
+            n: tuple([(a - b) % q for a, b in zip(moved_rows[n], zero_rows[first][n])])
+            for n, (row, row0) in enumerate(zip(moved, queries[first])) if row != row0
+        })
+    return zero_rows, changes
 
 
 def _reliability_witness(graph, field, message_length, pad_length, target, drop_server, failure):
@@ -561,10 +603,11 @@ def check_database_privacy(
     coefficients, every pad except the probed subset's own, and every
     message except the target and the subset.
 
-    The verdict is a rank test over F_q, exhaustive over the mask
-    coefficients h of one slot. Proof: the slots are drawn independently,
-    and a slot's answers read only its own messages, pads and coefficients,
-    so ``W_S`` is independent of the view iff it is so in every slot. The
+    The verdict is a rank test over F_q, over every mask coefficient
+    vector h of one slot under the affine mask model below. Proof: the
+    slots are drawn independently, and a slot's answers read only its own
+    messages, pads and coefficients, so ``W_S`` is independent of the view
+    iff it is so in every slot. The
     slots come in two variants, with a pad symbol and without one (when
     pads are shorter than messages). Fix a slot and h. By the linearity of
     ``_answer_slots``, the answers are ``M·W + P·Z``, where the columns of M
@@ -591,6 +634,22 @@ def check_database_privacy(
     since a subset of passing edges passes. Without a pad the span is
     ``span(M_θ)`` for every subset, so a subset leaks at h exactly when it
     holds a failing edge, and none is tested.
+
+    Each edge is first decided for every h at once, from the mask model
+    (``_mask_model``): column e is ``M_e(h) = c_e + Σ_{i∈dep(e)} h_i·Δ_{i,e}``,
+    where ``c_e`` is column e at h = 0 under θ's queries, ``Δ_{i,e}`` is
+    column e of the unit h at edge i's change, and ``dep(e)`` holds the i
+    with ``Δ_{i,e} ≠ 0`` (in the shipped code, e alone). Let ``B_e`` be
+    ``(P_e)`` in a padded deciding slot and empty otherwise. If ``c_e`` and
+    every ``Δ_{i,e}`` lie in ``span(B_e)``, so does ``M_e(h)`` at every h,
+    and e passes everywhere: one memoized rank test. If every edge passes
+    so, every subset passes at every h, as above, and no mask vector is
+    walked. The rule is only sufficient: any other target walks as below,
+    which decides it exactly, with the walk's witnesses and ``enumerated``.
+    The decision assumes the model's affinity, as reliability does: a query
+    rule or answer function that is right at h = 0 and at every unit h but
+    not affine would pass. The tests check this check against a tabulation
+    of every outcome of ``iter_transcript_outcomes``.
 
     A leaking subset's witness is the first cell, left values and then
     right values in sorted order, of its joint table of ``W_S`` (left)
@@ -621,7 +680,7 @@ def check_database_privacy(
     ``q^nullity[M_S | M_θ | P_S]`` each; the left count is
     ``total / q^(|S|·L)``.
 
-    Each target visits its mask vectors once, in ascending order of their
+    A walking target visits its mask vectors once, in ascending order of their
     queries, with no sort (``_query_order``). In ``protocol._queries``, each
     h_e first appears at e's smaller holder, with sign +1 and no selector
     (``_selector_key``), and every later entry is fixed by entries before
@@ -680,6 +739,23 @@ def check_database_privacy(
             and (not padded or leaks(span(columns, target, s, padded), [columns[e - 1] for e in s]))
         }
 
+    targets = _resolve_targets(graph, targets)
+    zero_rows, changes = _mask_model(graph, q, targets, message_rows)
+    # slopes[e - 1] lists Δ_{i,e} for i in dep(e), the changes of column e
+    slopes = [[] for _ in range(k)]
+    for change in changes:
+        for j in {j for row in change.values() for j, x in enumerate(row) if x}:
+            slopes[j].append(tuple(change[n][j] if n in change else 0 for n in range(graph.n_vertices)))
+
+    def may_leak(columns, target):
+        """Whether some edge may fail the edge test at some h, given the
+        message columns at h = 0: whether its column there or a change of
+        it lies outside ``span(P_e)``, the span of nothing without a pad."""
+        return any(
+            leaks((pad_columns[e - 1],) if padded else (), (columns[e - 1], *slopes[e - 1]))
+            for e in range(1, k + 1) if e != target
+        )
+
     def witness(target, subset, first, last):
         """The first failing cell of a leaking subset's table, from the
         smallest single-slot query and the smallest leaking one, each with
@@ -710,21 +786,23 @@ def check_database_privacy(
         }
 
     results = []
-    for target in _resolve_targets(graph, targets):
+    for target in targets:
         subsets = [
             s for size in range(1, k)
             for s in itertools.combinations([e for e in range(1, k + 1) if e != target], size)
         ]
-        pending, witnesses, first = set(subsets), {}, None
-        for mask in masks(target):
-            # the zero h, whose queries are the smallest
-            first = first or mask
-            leaked = leaking(list(zip(*message_rows(mask[0]))), target, pending)
-            for subset in leaked:
-                witnesses[subset] = witness(target, subset, first, mask)
-            pending -= leaked
-            if not pending:
-                break
+        witnesses = {}
+        if may_leak(list(zip(*zero_rows[target])), target):
+            pending, first = set(subsets), None
+            for mask in masks(target):
+                # the zero h, whose queries are the smallest
+                first = first or mask
+                leaked = leaking(list(zip(*message_rows(mask[0]))), target, pending)
+                for subset in leaked:
+                    witnesses[subset] = witness(target, subset, first, mask)
+                pending -= leaked
+                if not pending:
+                    break
         for subset in subsets:
             results.append(
                 CheckResult(

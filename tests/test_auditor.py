@@ -770,8 +770,9 @@ def test_leaking_witnesses_enumerate_no_outcome(monkeypatch):
 
 
 class TestWorkCount:
-    """A passing target costs O(q^K) database-privacy work and K + 1
-    reliability probes: counted calls, not wall time."""
+    """A call costs 2K probes of one affine mask model: one h = 0 probe per
+    target and one per unit h. A passing database-privacy target walks no
+    mask vector and ranks each edge once. Counted calls, not wall time."""
 
     def test_database_privacy_tests_each_edge_not_each_subset(self, monkeypatch):
         calls = []
@@ -785,35 +786,47 @@ class TestWorkCount:
         q, k = 2, 5
         results = check_database_privacy(cycle_graph(k), F2, 1, targets=[1])
         assert len(results) == 2 ** (k - 1) - 1 and all(c.passed for c in results)
-        # an edge test ranks [M_θ | P_e | M_e], and [M_θ | P_e] unless
-        # already ranked; a test of a larger subset would rank more columns
-        assert set(calls) == {2, 3}
-        # a test per subset and mask vector would be q^K·(2^(K-1) - 1) = 480
-        assert 0 < calls.count(3) <= q**k * (k - 1)
+        # each edge e ≠ θ ranks [P_e] and [P_e | c_e | Δ_e] once, for every h
+        # at once; an edge test per mask vector would also rank [M_θ | P_e],
+        # and a test of a larger subset more columns
+        assert Counter(calls) == {1: k - 1, 3: k - 1}
 
     def test_database_privacy_builds_each_query_tuple_at_most_once(self, monkeypatch):
-        built = []
+        built, lengths = [], []
         queries = auditor._queries
+        iter_vectors = PrimeField.iter_vectors
 
         def counted(graph, q, target, coeffs):
             built.append(coeffs)
             return queries(graph, q, target, coeffs)
 
+        def counted_vectors(field, length):
+            lengths.append(length)
+            return iter_vectors(field, length)
+
         monkeypatch.setattr(auditor, "_queries", counted)
+        monkeypatch.setattr(PrimeField, "iter_vectors", counted_vectors)
         q, k = 2, 5
         results = check_database_privacy(cycle_graph(k), F2, 1, pad_length=0, targets=[1])
         assert not all(c.passed for c in results)
-        # one visit in ascending query order; a second, sorted pass to find
+        # the model's K + 1 probes, then one visit in ascending query order,
+        # which stops once every subset leaks; a second, sorted pass to find
         # the witnesses would build all q^K = 32 again
+        assert k in lengths
         assert 0 < len(built) <= q**k
         built.clear()
-        results = check_database_privacy(cycle_graph(k), F2, 1, targets=[1])
+        lengths.clear()
+        # a passing call walks no mask vector: one h = 0 probe per target
+        # and one per unit h
+        results = check_database_privacy(cycle_graph(k), F2, 1)
         assert all(c.passed for c in results)
-        assert len(built) == q**k
+        assert k not in lengths
+        assert len(built) == 2 * k
 
     def test_passing_reliability_never_walks_the_messages(self, monkeypatch):
-        """The defect is affine in h, so a target reads h = 0, then, if that
-        decodes, each unit h: no mask vector, message or pad is walked."""
+        """The defect is affine in h, so a call reads h = 0 for each target
+        and each unit h once, under the first target: no mask vector,
+        message or pad is walked."""
         lengths, probes = [], []
         iter_vectors = PrimeField.iter_vectors
         queries = auditor._queries
@@ -837,20 +850,23 @@ class TestWorkCount:
             return [c.passed for c in results], Counter(probes)
 
         k = 5
-        # every target passes: h = 0 and the K unit vectors
-        assert probe_counts(cycle_graph(k), F2, 1) == ([True] * k, dict.fromkeys(range(1, k + 1), k + 1))
+        # every target passes: 2K probes, K + 1 of them under the first target
+        assert probe_counts(cycle_graph(k), F2, 1) == (
+            [True] * k, {1: k + 1, **dict.fromkeys(range(2, k + 1), 1)}
+        )
         # the dropped server's pads shift the sum, so h = 0 fails
-        assert probe_counts(cycle_graph(k), F2, 1, drop_server=1, targets=[1]) == ([False], {1: 1})
+        assert probe_counts(cycle_graph(k), F2, 1, drop_server=1, targets=[1]) == ([False], {1: k + 1})
         # no pads, and the dropped server holds the selector: h = 0 fails
         assert probe_counts(
             cycle_graph(k), F2, 1, pad_length=0, drop_server=2, targets=[1]
-        ) == ([False], {1: 1})
-        # no pads, and h = 0 decodes: a unit h fails, after every unit probe
+        ) == ([False], {1: k + 1})
+        # no pads, and h = 0 decodes: a unit h fails
         assert probe_counts(
             cycle_graph(k), F2, 1, pad_length=0, drop_server=1, targets=[1]
         ) == ([False], {1: k + 1})
-        # one set of probes per target, not one per slot variant
-        assert probe_counts(path_graph(3), F2, 2, pad_length=1) == ([True] * 2, {1: 3, 2: 3})
+        # one set of probes per call, not one per target or slot variant
+        assert probe_counts(path_graph(3), F2, 2, pad_length=1) == ([True] * 2, {1: 3, 2: 1})
+        assert probe_counts(path_graph(3), F2, 2, targets=[2, 1]) == ([True] * 2, {1: 1, 2: 3})
 
 
 def _reference_server_view_table(
@@ -983,17 +999,23 @@ def _non_bijective_selector(query, position, q):
     return tuple(query)
 
 
+def _rebind(monkeypatch, name, replacement) -> set:
+    """Bind ``replacement`` wherever the package binds the shipped
+    ``graphspir`` function ``name``, and return the modules' names."""
+    shipped = getattr(protocol, name)
+    patched = set()
+    for module_name, module in list(sys.modules.items()):
+        in_package = module_name.partition(".")[0] == "graphspir"
+        if in_package and getattr(module, name, None) is shipped:
+            monkeypatch.setattr(module, name, replacement)
+            patched.add(module_name)
+    return patched
+
+
 def _patch_selector(monkeypatch, selector):
     """Bind ``selector`` wherever the package binds the shipped
     ``protocol._add_selector``."""
-    shipped = protocol._add_selector
-    patched = []
-    for name, module in list(sys.modules.items()):
-        in_package = name.partition(".")[0] == "graphspir"
-        if in_package and getattr(module, "_add_selector", None) is shipped:
-            monkeypatch.setattr(module, "_add_selector", selector)
-            patched.append(name)
-    assert {"graphspir.protocol", "graphspir.auditor"} <= set(patched)
+    assert {"graphspir.protocol", "graphspir.auditor"} <= _rebind(monkeypatch, "_add_selector", selector)
 
 
 def _witness_slots(results):
@@ -1227,14 +1249,7 @@ def _answer_without_pads(store, queries, q, first=0):
 def _patch_answer_function(monkeypatch, answer):
     """Bind ``answer`` wherever the package binds the shipped answer
     function."""
-    shipped = protocol._answer_slots
-    patched = []
-    for name, module in list(sys.modules.items()):
-        in_package = name.partition(".")[0] == "graphspir"
-        if in_package and getattr(module, "_answer_slots", None) is shipped:
-            monkeypatch.setattr(module, "_answer_slots", answer)
-            patched.append(name)
-    assert "graphspir.protocol" in patched
+    assert "graphspir.protocol" in _rebind(monkeypatch, "_answer_slots", answer)
 
 
 def test_checks_audit_the_shipped_answer_function(monkeypatch, capsys):
@@ -1414,6 +1429,28 @@ def test_reliability_matches_the_enumerator(monkeypatch, case, answer):
     assert [c.passed for c in results] == _enumerated_reliability(graph, field, 1, pads, drop)
 
 
+DATABASE_BINDING_CASES = {
+    "path3-q3": (path_graph(3), F3, None),
+    "cycle3-q2": (cycle_graph(3), F2, None),
+    "star4-q2": (star_graph(4), F2, None),
+    "cycle4-q2-no-pads": (cycle_graph(4), F2, 0),
+}
+
+
+@pytest.mark.parametrize("answer", ANSWER_FUNCTIONS.values(), ids=ANSWER_FUNCTIONS.keys())
+@pytest.mark.parametrize(
+    "case", DATABASE_BINDING_CASES.values(), ids=DATABASE_BINDING_CASES.keys()
+)
+def test_database_privacy_matches_the_tabulation(monkeypatch, case, answer):
+    """Every result, witnesses included, equals the tabulation of every
+    outcome, under the shipped answer function and both broken ones."""
+    graph, field, pads = case
+    if answer:
+        _patch_answer_function(monkeypatch, answer)
+    results = check_database_privacy(graph, field, 1, pad_length=pads)
+    assert results == _reference_database_privacy(graph, field, 1, pads)
+
+
 NON_AFFINE_CASES = {
     "path3-q2": (path_graph(3), F2, [False, True]),
     "path3-q3": (path_graph(3), F3, [False, True]),
@@ -1432,3 +1469,37 @@ def test_reliability_assumes_an_affine_query_rule(monkeypatch, case):
     _patch_selector(monkeypatch, _non_affine_selector)
     assert _enumerated_reliability(graph, field, 1) == expected
     assert all(c.passed for c in check_reliability(graph, field, 1))
+
+
+def _zeroing_selector(query, position, q):
+    """The protocol's selector, then, wherever the query holds two or more
+    nonzero entries, its first nonzero entry other than the selected one set
+    to 0. A query holds at most one at h = 0 and at a unit h, where this rule
+    is right; it is not affine in h."""
+    selected = _SHIPPED_SELECTOR(query, position, q)
+    nonzero = [i for i, x in enumerate(query) if x]
+    if len(nonzero) < 2:
+        return selected
+    i = next(i for i in nonzero if i != position)
+    return selected[:i] + (0,) + selected[i + 1:]
+
+
+NON_AFFINE_PRIVACY_CASES = {
+    "cycle3-q2": (cycle_graph(3), 3),
+    "cycle4-q2": (cycle_graph(4), 12),
+}
+
+
+@pytest.mark.parametrize(
+    "case", NON_AFFINE_PRIVACY_CASES.values(), ids=NON_AFFINE_PRIVACY_CASES.keys()
+)
+def test_database_privacy_assumes_an_affine_query_rule(monkeypatch, case):
+    """Under a query rule that is right at h = 0 and at every unit h but not
+    affine, the tabulation of every outcome finds leaking subsets that the
+    check, which reads only the mask model built from those K + 1 mask
+    vectors, does not: the check assumes affinity, and this pins what it
+    misses."""
+    graph, leaking = case
+    _patch_selector(monkeypatch, _zeroing_selector)
+    assert sum(not c.passed for c in _reference_database_privacy(graph, F2, 1)) == leaking
+    assert all(c.passed for c in check_database_privacy(graph, F2, 1))

@@ -271,6 +271,16 @@ STDOUT_DIGESTS = {
         ["audit", "--family", "complete", "--n", "4", "--q", "3", "--budget", "1099511627776"],
         "3828294f7a4651897141c7a51455e61dd6baf848eb80387af1d65ae857041026",
     ),
+    # honest dense audits beyond the default budget: every edge of every
+    # target passes for every mask vector at once, and no target walks them
+    "complete5-budget": (
+        ["audit", "--family", "complete", "--n", "5", "--q", "2", "--budget", "1099511627776"],
+        "eba88b2d69001fc4ed9859f14e9ac4f7420e45afcb3121bc6d4f4ed0da072689",
+    ),
+    "cycle10-budget": (
+        ["audit", "--family", "cycle", "--n", "10", "--q", "2", "--budget", "1099511627776"],
+        "eb7d9cb9ea3cdc97724cd62b20acaa302d10143ef1d7169dbe299ba71ee625a9",
+    ),
     # two bare slots: 15 witnesses, each from a table of 2^20 outcomes
     "cycle5-L2-degraded-theta1": (
         ["audit", "--family", "cycle", "--n", "5", "--q", "2", "--degrade-pads",
