@@ -19,13 +19,7 @@ from .auditor import (
     server_view_table,
     state_space_size,
 )
-from .capacity import (
-    CapacityReport,
-    achievable_rate,
-    capacity_report,
-    pir_reference,
-    spir_capacity,
-)
+from .capacity import CapacityReport, capacity_report
 from .field import PrimeField
 from .graph import (
     FAMILIES,

@@ -15,15 +15,16 @@ K targets, in place of a walk over the q^K mask vectors. Reliability builds
 a failure's witness from the last nonzero entries of the model's defects
 and the pads' weights, without walking any mask vector, message or pad.
 Database privacy is an exact rank test mod q, decided per edge from the
-model; only a target with an edge outside its pad's span walks its q^K
-mask vectors, and a
-failure's witness is the first cell of the joint count table that fails
-cross-multiplication (``count(a,b) * total == count(a) * count(b)``),
-computed from the same ranks without listing an outcome. User privacy is
-decided on each server's single-slot query
-counts, which fix its view tables exactly; a failure's witness, the first
-cell at which two view tables differ, and its counts are computed from the
-same query counts without listing a view.
+model. An edge outside its pad's span finds its first failing h among the
+assignments of the few mask entries its test reads, q² in the shipped code,
+and a subset's first leaking h follows from its edges' without a walk over
+the q^K mask vectors. A failure's witness is the first cell of the joint
+count table that fails cross-multiplication
+(``count(a,b) * total == count(a) * count(b)``), computed from the same
+ranks without listing an outcome. User privacy is decided on each server's
+single-slot query counts, which fix its view tables exactly; a failure's
+witness, the first cell at which two view tables differ, and its counts are
+computed from the same query counts without listing a view.
 
 Audited constraints:
 
@@ -51,7 +52,6 @@ beyond a configurable outcome count rather than silently auditing a subset.
 """
 
 import itertools
-import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -362,7 +362,10 @@ def _mask_model(graph, q, targets, message_rows):
     own query row alone; in the shipped query rule only the edge's two
     holders move. So under θ's queries at h, server n's message row is
     ``zero_rows[θ][n - 1]`` plus ``h_i·changes[i][n - 1]`` for each i whose
-    change holds n, mod q, for every θ. Proof: ``protocol._queries`` reads each server's row off
+    change holds n, mod q, for every θ. Column e of those rows therefore
+    reads h only at the i whose change is nonzero at e, e alone in the
+    shipped rule: the locality on which database privacy's local search
+    rests. Proof: ``protocol._queries`` reads each server's row off
     ``_signed_table(h, q)``, whose entries are h and −h mod q, so the row is
     linear in h; ``_add_selector`` then adds 1 at one position fixed by θ,
     a constant. A message row is ``_answer_slots``' answers ``sum(c·W)`` to
@@ -625,31 +628,43 @@ def check_database_privacy(
     wherever a padded one does; it decides whenever there is one, and it is
     the last slot's variant either way.
 
-    Each h is first decided per edge: edge e ≠ θ passes at h iff
-    ``M_e ∈ span(M_θ, P_e)``, with ``P_e`` left out in a slot without a
-    pad. The test is memoized on its columns. For e in S,
-    ``span(M_θ, P_e) ⊆ span(M_θ, P_S)``, so if every edge passes at h,
-    every subset passes at h, and no subset is tested. Otherwise only the
-    subsets that hold a failing edge and do not already leak are tested,
-    since a subset of passing edges passes. Without a pad the span is
-    ``span(M_θ)`` for every subset, so a subset leaks at h exactly when it
-    holds a failing edge, and none is tested.
+    Edge e ≠ θ passes at h iff ``M_e ∈ span(M_θ, P_e)``, with ``P_e`` left
+    out in a slot without a pad: the test of the subset {e}. For e in S,
+    ``span(M_θ, P_e) ⊆ span(M_θ, P_S)``, so a subset leaks at h only where
+    one of its edges fails. Without a pad the span is ``span(M_θ)`` for
+    every subset, so a subset leaks at h exactly where one of its edges
+    fails.
 
-    Each edge is first decided for every h at once, from the mask model
-    (``_mask_model``): column e is ``M_e(h) = c_e + Σ_{i∈dep(e)} h_i·Δ_{i,e}``,
-    where ``c_e`` is column e at h = 0 under θ's queries, ``Δ_{i,e}`` is
-    column e of the unit h at edge i's change, and ``dep(e)`` holds the i
-    with ``Δ_{i,e} ≠ 0`` (in the shipped code, e alone). Let ``B_e`` be
-    ``(P_e)`` in a padded deciding slot and empty otherwise. If ``c_e`` and
-    every ``Δ_{i,e}`` lie in ``span(B_e)``, so does ``M_e(h)`` at every h,
-    and e passes everywhere: one memoized rank test. If every edge passes
-    so, every subset passes at every h, as above, and no mask vector is
-    walked. The rule is only sufficient: any other target walks as below,
-    which decides it exactly, with the walk's witnesses and ``enumerated``.
-    The decision assumes the model's affinity, as reliability does: a query
-    rule or answer function that is right at h = 0 and at every unit h but
-    not affine would pass. The tests check this check against a tabulation
-    of every outcome of ``iter_transcript_outcomes``.
+    The tests read h through the mask model (``_mask_model``): column e is
+    ``M_e(h) = c_e + Σ_{i∈dep(e)} h_i·Δ_{i,e}``, where ``c_e`` is column e
+    at h = 0 under θ's queries, ``Δ_{i,e}`` is column e of the unit h at
+    edge i's change, and ``dep(e)`` holds the i with ``Δ_{i,e} ≠ 0`` (in
+    the shipped code, e alone). Let ``B_e`` be ``(P_e)`` in a padded
+    deciding slot and empty otherwise. If ``c_e`` and every ``Δ_{i,e}`` lie
+    in ``span(B_e)``, so does ``M_e(h)`` at every h, and e passes
+    everywhere: one memoized rank test. The decision assumes the model's
+    affinity, as reliability does: a query rule or answer function that is
+    right at h = 0 and at every unit h but not affine would pass. The tests
+    check this check against a tabulation of every outcome of
+    ``iter_transcript_outcomes``.
+
+    Every other verdict is found in local work. In ``protocol._queries``,
+    each h_e first appears at e's smaller holder, with sign +1 and no
+    selector (``_selector_key``), and every later entry is fixed by entries
+    before it: it is ``-h_e``, plus 1 at the selector. So two query tuples
+    first differ at a first appearance, and they sort as h does when h is
+    read in the order of those first appearances: the edges by their
+    smaller holder, then by index. The test of S at h reads only ``M_θ``
+    and ``M_S``, so only the entries of h in ``dep(θ) ∪ dep(S)``. Setting
+    every other entry of a leaking h to 0 keeps the verdict and gives an h
+    no later in that order, so S's first leaking h is zero elsewhere: the
+    first leaking assignment of those entries, read in that order. An edge
+    that fails the span test finds its first failing h so, among
+    ``q^|dep(θ) ∪ dep(e)|`` assignments, q² in the shipped code. A subset
+    none of whose edges fails anywhere passes. Otherwise the earliest first
+    failure h among its edges is its first leaking h without a pad. With a
+    pad, S leaks nowhere before h: if it leaks at h, h is its first leaking
+    h, and if not, S searches its own local assignments.
 
     A leaking subset's witness is the first cell, left values and then
     right values in sorted order, of its joint table of ``W_S`` (left)
@@ -668,36 +683,25 @@ def check_database_privacy(
     queries determine h for a fixed target. So the right is the zero
     answers, the smallest query tuple ``Q*`` with a leaking slot, zero pads
     and messages, and the coefficients of ``Q*``. Let m be the smallest
-    single-slot query, and x the smallest at which S leaks in the last
-    slot's variant, which leaks wherever any slot does. ``Q*`` is m in every
-    slot but the last, and x there. Any other tuple with a leaking slot is
-    larger: its first entry other than m comes before the last slot, or it
-    leaks at the last slot with an entry of at least x, or it leaks at a
-    slot holding m, and then x = m. The counts are nullities, one term per
-    slot at its own h and variant. The pair count solves
-    ``M_θ·W_θ + P_S·Z_S = 0`` in every slot, ``q^nullity[M_θ | P_S]``
-    solutions each; the right count also frees ``W_S``,
-    ``q^nullity[M_S | M_θ | P_S]`` each; the left count is
-    ``total / q^(|S|·L)``.
-
-    A walking target visits its mask vectors once, in ascending order of their
-    queries, with no sort (``_query_order``). In ``protocol._queries``, each
-    h_e first appears at e's smaller holder, with sign +1 and no selector
-    (``_selector_key``), and every later entry is fixed by entries before
-    it: it is ``-h_e``, plus 1 at the selector. So two query tuples first
-    differ at a first appearance, and they sort as h does when h is read in
-    the order of those first appearances. The first h is zero, and its
-    queries are m. The first h at which a subset leaks gives its x, and the
-    subset's witness is built there. The visit stops once every subset
-    leaks. No outcome is listed; ``enumerated`` is the size of the table,
-    ``state_space_size``, for every subset.
+    single-slot query, the queries of h = 0, and x the smallest at which S
+    leaks in the last slot's variant, which leaks wherever any slot does:
+    the queries of S's first leaking h. ``Q*`` is m in every slot but the
+    last, and x there. Any other tuple with a leaking slot is larger: its
+    first entry other than m comes before the last slot, or it leaks at the
+    last slot with an entry of at least x, or it leaks at a slot holding m,
+    and then x = m. The counts are nullities, one term per slot at its own
+    h and variant. The pair count solves ``M_θ·W_θ + P_S·Z_S = 0`` in every
+    slot, ``q^nullity[M_θ | P_S]`` solutions each; the right count also
+    frees ``W_S``, ``q^nullity[M_S | M_θ | P_S]`` each; the left count is
+    ``total / q^(|S|·L)``. Queries are built only for a leaking subset's
+    witness, once per h and target. No outcome is listed; ``enumerated`` is
+    the size of the table, ``state_space_size``, for every subset.
     """
     pad_length = _resolve_pad_length(message_length, pad_length)
     total = _ensure_budget(graph, field, message_length, pad_length, budget)
     k, q = graph.n_edges, field.modulus
     pad_rows, message_rows = _answer_rows(graph, q)
     pad_columns = list(zip(*pad_rows))
-    masks = _query_order(graph, field)
     # the deciding slot variant, the last slot's: one without a pad if there is one
     padded = pad_length == message_length
 
@@ -705,7 +709,7 @@ def check_database_privacy(
         """``[M_θ | P_S]`` of one slot, ``P_S`` left out without a pad."""
         return (columns[target - 1], *(pad_columns[e - 1] for e in subset if has_pad))
 
-    ranks, edge_leaks = {}, {}
+    ranks = {}
 
     def rank(vectors):
         """``_rank``, memoized on the vectors."""
@@ -717,44 +721,39 @@ def check_database_privacy(
         """Whether appending ``vectors`` raises the rank of ``basis``."""
         return rank((*basis, *vectors)) > rank(basis)
 
-    def leaking(columns, target, pending):
-        """The subsets of ``pending`` that leak at one h of the deciding
-        variant, given its message columns."""
-        theta = columns[target - 1]
-        failing = set()
-        for e in range(1, k + 1):
-            if e == target:
-                continue
-            # the edge test, memoized on its columns [M_θ | P_e | M_e]
-            key = (theta, pad_columns[e - 1], columns[e - 1]) if padded else (theta, columns[e - 1])
-            if key not in edge_leaks:
-                edge_leaks[key] = leaks(key[:-1], key[-1:])
-            if edge_leaks[key]:
-                failing.add(e)
-        if not failing:
-            return set()
-        return {
-            s for s in pending
-            if not failing.isdisjoint(s)
-            and (not padded or leaks(span(columns, target, s, padded), [columns[e - 1] for e in s]))
-        }
-
     targets = _resolve_targets(graph, targets)
     zero_rows, changes = _mask_model(graph, q, targets, message_rows)
-    # slopes[e - 1] lists Δ_{i,e} for i in dep(e), the changes of column e
-    slopes = [[] for _ in range(k)]
-    for change in changes:
+    # deps[e - 1] maps each i in dep(e) to Δ_{i,e}, the change of column e
+    deps = [{} for _ in range(k)]
+    for i, change in enumerate(changes):
         for j in {j for row in change.values() for j, x in enumerate(row) if x}:
-            slopes[j].append(tuple(change[n][j] if n in change else 0 for n in range(graph.n_vertices)))
+            deps[j][i] = tuple(change[n][j] if n in change else 0 for n in range(graph.n_vertices))
+    # the edges in query order, each at its smaller holder
+    order = sorted(range(k), key=lambda e: (graph.edges[e][0], e))
 
-    def may_leak(columns, target):
-        """Whether some edge may fail the edge test at some h, given the
-        message columns at h = 0: whether its column there or a change of
-        it lies outside ``span(P_e)``, the span of nothing without a pad."""
-        return any(
-            leaks((pad_columns[e - 1],) if padded else (), (columns[e - 1], *slopes[e - 1]))
-            for e in range(1, k + 1) if e != target
-        )
+    def leaks_at(columns, target, subset, h):
+        """Whether ``subset`` leaks at h in the deciding variant, given the
+        message columns at h = 0: the columns it reads, moved by h."""
+        moved = {}
+        for e in (target, *subset):
+            column = columns[e - 1]
+            for i, delta in deps[e - 1].items():
+                if h[i]:
+                    column = tuple((c + h[i] * d) % q for c, d in zip(column, delta))
+            moved[e - 1] = column
+        return leaks(span(moved, target, subset, padded), [moved[e - 1] for e in subset])
+
+    def first_leak(columns, target, subset):
+        """The first h in query order at which ``subset`` leaks, or None:
+        its first leaking assignment of dep(θ) ∪ dep(S), zero elsewhere."""
+        read = set(deps[target - 1]).union(*(deps[e - 1] for e in subset))
+        local = [i for i in order if i in read]
+        for values in field.iter_vectors(len(local)):
+            assigned = dict(zip(local, values))
+            h = tuple(assigned.get(i, 0) for i in range(k))
+            if leaks_at(columns, target, subset, h):
+                return h
+        return None
 
     def witness(target, subset, first, last):
         """The first failing cell of a leaking subset's table, from the
@@ -785,24 +784,30 @@ def check_database_privacy(
             "total": total,
         }
 
+    zero = (0,) * k
     results = []
     for target in targets:
-        subsets = [
-            s for size in range(1, k)
-            for s in itertools.combinations([e for e in range(1, k + 1) if e != target], size)
-        ]
-        witnesses = {}
-        if may_leak(list(zip(*zero_rows[target])), target):
-            pending, first = set(subsets), None
-            for mask in masks(target):
-                # the zero h, whose queries are the smallest
-                first = first or mask
-                leaked = leaking(list(zip(*message_rows(mask[0]))), target, pending)
-                for subset in leaked:
-                    witnesses[subset] = witness(target, subset, first, mask)
-                pending -= leaked
-                if not pending:
-                    break
+        others = [e for e in range(1, k + 1) if e != target]
+        subsets = [s for size in range(1, k) for s in itertools.combinations(others, size)]
+        columns = list(zip(*zero_rows[target]))
+        # the first failing h, or None, of each edge outside its pad's span
+        firsts = {
+            e: first_leak(columns, target, (e,)) for e in others
+            if leaks((pad_columns[e - 1],) if padded else (), (columns[e - 1], *deps[e - 1].values()))
+        }
+        masks, witnesses = {}, {}
+        for subset in subsets:
+            failing = [firsts[e] for e in subset if firsts.get(e)]
+            if not failing:
+                continue
+            h = min(failing, key=lambda g: [g[i] for i in order])
+            if padded and not leaks_at(columns, target, subset, h):
+                h = first_leak(columns, target, subset)
+            if h is not None:
+                for g in (zero, h):
+                    if g not in masks:
+                        masks[g] = _queries(graph, q, target, g), g
+                witnesses[subset] = witness(target, subset, masks[zero], masks[h])
         for subset in subsets:
             results.append(
                 CheckResult(
@@ -814,35 +819,6 @@ def check_database_privacy(
                 )
             )
     return results
-
-
-def _query_order(graph, field):
-    """Every mask vector h of one slot with its queries, in ascending order
-    of the queries: a function of the target that yields ``(queries,
-    coeffs)`` pairs.
-
-    ``protocol._queries`` lays out the servers' rows in turn, each over its
-    held edges in ascending order, so the first appearances of the h_e are
-    at each edge's smaller holder (``graph._incidence``), in server order.
-    ``field.iter_vectors`` lists h read in that order ascending, and each
-    reading is laid out as h again; ``check_database_privacy`` proves that
-    its queries then ascend. The order does not depend on the target, so it
-    is worked out once. Every h is a vector of field elements, so its
-    queries are built unchecked.
-    """
-    k = graph.n_edges
-    first = [e for held, signs in graph._incidence for e, sign in zip(held, signs) if sign == 1]
-    # h_e sits at position[e - 1] of the reading; an itemgetter of one
-    # index returns the bare item, and one edge needs no reordering
-    position = sorted(range(k), key=first.__getitem__)
-    layout = operator.itemgetter(*position) if k > 1 else tuple
-
-    def masks(target):
-        for reading in field.iter_vectors(k):
-            coeffs = layout(reading)
-            yield _queries(graph, field.modulus, target, coeffs), coeffs
-
-    return masks
 
 
 def _rank(vectors, q) -> int:

@@ -15,11 +15,6 @@ from fractions import Fraction
 from .graph import Graph
 
 
-def achievable_rate(g: Graph) -> Fraction:
-    """The scheme's rate on ``g``: message symbols per downloaded symbol."""
-    return Fraction(1, g.n_vertices)
-
-
 _TRIVIAL = "single-message system: retrieval is trivial"
 _EXACT_REGULAR = "exact: matching upper bound known for regular graphs"
 _UNKNOWN = (
@@ -27,27 +22,6 @@ _UNKNOWN = (
     "the achievable rate is a lower bound"
 )
 _UNTABULATED = "no tabulated value for this topology"
-
-
-def spir_capacity(g: Graph):
-    """Exact symmetric-retrieval capacity, or None where no converse is known.
-
-    ``1/N`` for paths and regular graphs (matching upper bounds exist);
-    two-server systems hold a single message, so retrieval is trivial and
-    the capacity is 1. Returns None for every other topology — the scheme's
-    ``1/N`` is then only a lower bound.
-    """
-    return capacity_report(g).capacity
-
-
-def pir_reference(g: Graph):
-    """Tabulated capacity of the non-symmetric variant, where known.
-
-    ``2/N`` on paths and ``2/(N+1)`` on cycles; None elsewhere. On paths the
-    symmetric capacity is exactly half of this; on cycles it is strictly
-    larger than half (``1/N > 1/(N+1)``).
-    """
-    return capacity_report(g).pir_reference
 
 
 @dataclass(frozen=True)
@@ -112,4 +86,4 @@ def capacity_report(g: Graph, graph_name: str = "graph") -> CapacityReport:
         )
     else:
         values = None, _UNKNOWN, None, _UNTABULATED
-    return CapacityReport(graph_name, n, g.n_edges, achievable_rate(g), *values, degree)
+    return CapacityReport(graph_name, n, g.n_edges, Fraction(1, n), *values, degree)

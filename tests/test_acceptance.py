@@ -20,7 +20,7 @@ from graphspir import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     PrimeField,
-    achievable_rate,
+    capacity_report,
     check_database_privacy,
     check_reliability,
     check_user_privacy,
@@ -28,10 +28,8 @@ from graphspir import (
     cycle_graph,
     init_system,
     path_graph,
-    pir_reference,
     run_round,
     run_round_with_coeffs,
-    spir_capacity,
     star_graph,
     state_from_values,
     state_space_size,
@@ -195,17 +193,17 @@ def test_criterion_6_rate_and_capacity_relations():
                 transcript = run_round(state, target, rng)
                 assert transcript.downloaded_symbols == graph.n_vertices * slots
                 assert Fraction(slots, transcript.downloaded_symbols) == (
-                    achievable_rate(graph)
+                    capacity_report(graph).achievable_rate
                 ) == Fraction(1, graph.n_vertices)
     for n in range(3, 8):
-        path = path_graph(n)
-        assert spir_capacity(path) == Fraction(1, n)
-        assert spir_capacity(path) == pir_reference(path) / 2
-        cycle = cycle_graph(n)
-        assert spir_capacity(cycle) == Fraction(1, n)
-        assert spir_capacity(cycle) > pir_reference(cycle) / 2
+        path = capacity_report(path_graph(n))
+        assert path.capacity == Fraction(1, n)
+        assert path.capacity == path.pir_reference / 2
+        cycle = capacity_report(cycle_graph(n))
+        assert cycle.capacity == Fraction(1, n)
+        assert cycle.capacity > cycle.pir_reference / 2
         assert Fraction(1, n) > Fraction(1, n + 1)
-    assert spir_capacity(complete_graph(4)) == Fraction(1, 4)
+    assert capacity_report(complete_graph(4)).capacity == Fraction(1, 4)
     _report(6, "download N*L per round and exact capacity relations", started, 60.0)
 
 
@@ -219,8 +217,6 @@ def test_criterion_7_documented_limits_of_the_upper_bounds():
     assert "reported as constants" in text
     assert "never computes" in text
     # the package itself stays honest where no matching bound is tabulated
-    from graphspir import capacity_report
-
     record = capacity_report(star_graph(4), "star-4").to_dict()
     assert record["capacity"] is None
     assert "lower bound" in record["capacity_note"]

@@ -45,7 +45,6 @@ from graphspir import (
 )
 from graphspir.auditor import (
     _query_counts,
-    _query_order,
     _rank,
     _reliability_witness,
     _slot_queries,
@@ -727,15 +726,20 @@ ORACLE_CASES = {
     ids=["path3", "cycle5", "star4", "paw", "complete4", "unsorted"],
 )
 @pytest.mark.parametrize("field", [F2, F3], ids=["q2", "q3"])
-def test_query_order_lists_every_mask_vector_with_ascending_queries(graph, field):
-    """Database privacy's witnesses rest on this layout fact: the mask
-    vectors come out once each, in strictly ascending order of queries."""
-    masks = _query_order(graph, field)
-    for target in range(1, graph.n_edges + 1):
-        listed = list(masks(target))
-        assert sorted(coeffs for _, coeffs in listed) == list(field.iter_vectors(graph.n_edges))
-        assert all(a < b for (a, _), (b, _) in itertools.pairwise(listed))
-        assert all(queries == gen_queries(graph, field, target, c) for queries, c in listed)
+def test_queries_ascend_when_h_is_read_by_first_appearance(graph, field):
+    """Database privacy's local search and witnesses rest on this layout
+    fact: read with its edges sorted by their smaller holder, then by index,
+    every mask vector h gives strictly ascending queries, for every target."""
+    k = graph.n_edges
+    order = sorted(range(k), key=lambda e: (graph.edges[e][0], e))
+    for target in range(1, k + 1):
+        listed = []
+        for reading in field.iter_vectors(k):
+            h = [0] * k
+            for e, x in zip(order, reading):
+                h[e] = x
+            listed.append(gen_queries(graph, field, target, tuple(h)))
+        assert all(a < b for a, b in itertools.pairwise(listed))
 
 
 class TestDatabasePrivacyOracle:
@@ -771,8 +775,10 @@ def test_leaking_witnesses_enumerate_no_outcome(monkeypatch):
 
 class TestWorkCount:
     """A call costs 2K probes of one affine mask model: one h = 0 probe per
-    target and one per unit h. A passing database-privacy target walks no
-    mask vector and ranks each edge once. Counted calls, not wall time."""
+    target and one per unit h. No mask vector is walked: a passing
+    database-privacy target ranks each edge once, and a leaking one searches
+    each failing edge's q² local assignments and builds queries only for its
+    witnesses. Counted calls, not wall time."""
 
     def test_database_privacy_tests_each_edge_not_each_subset(self, monkeypatch):
         calls = []
@@ -809,11 +815,13 @@ class TestWorkCount:
         q, k = 2, 5
         results = check_database_privacy(cycle_graph(k), F2, 1, pad_length=0, targets=[1])
         assert not all(c.passed for c in results)
-        # the model's K + 1 probes, then one visit in ascending query order,
-        # which stops once every subset leaks; a second, sorted pass to find
-        # the witnesses would build all q^K = 32 again
-        assert k in lengths
-        assert 0 < len(built) <= q**k
+        # the model's K + 1 probes, then h = 0 and each witness's first
+        # leaking h once, and an edge's first failing h is one of its q²
+        # local assignments; a walk would list all q^K = 32 mask vectors
+        failing = sum(not c.passed for c in results if len(c.instance["subset"]) == 1)
+        assert k not in lengths
+        assert failing > 0
+        assert k + 1 < len(built) <= k + 1 + q**2 * failing
         built.clear()
         lengths.clear()
         # a passing call walks no mask vector: one h = 0 probe per target
@@ -1434,6 +1442,8 @@ DATABASE_BINDING_CASES = {
     "cycle3-q2": (cycle_graph(3), F2, None),
     "star4-q2": (star_graph(4), F2, None),
     "cycle4-q2-no-pads": (cycle_graph(4), F2, 0),
+    # under unsigned pads, three padded subsets hold a failing edge and pass
+    "cycle3-q3": (cycle_graph(3), F3, None),
 }
 
 
@@ -1449,6 +1459,33 @@ def test_database_privacy_matches_the_tabulation(monkeypatch, case, answer):
         _patch_answer_function(monkeypatch, answer)
     results = check_database_privacy(graph, field, 1, pad_length=pads)
     assert results == _reference_database_privacy(graph, field, 1, pads)
+
+
+def test_database_privacy_leaks_after_its_edges_first_fail(monkeypatch):
+    """Under unsigned pads at q = 3 on cycle-4, six padded subsets do not
+    leak at the earliest first failure among their edges, and leak only at
+    a later h, found by their own local search. Tabulating every outcome
+    here takes minutes, so the serialized results, witnesses included, are
+    pinned byte for byte; they were checked once against that tabulation."""
+    _patch_answer_function(monkeypatch, _answer_with_unsigned_pads)
+    graph = cycle_graph(4)
+    results = check_database_privacy(graph, F3, 1)
+    assert not any(c.passed for c in results)
+    order = sorted(range(graph.n_edges), key=lambda e: (graph.edges[e][0], e))
+    leaking_h = {
+        (c.instance["target"], tuple(c.instance["subset"])): c.witness["right"][4][-1]
+        for c in results
+    }
+    later = [
+        (target, subset) for (target, subset), h in leaking_h.items()
+        if h != min(
+            (leaking_h[target, (e,)] for e in subset), key=lambda g: [g[i] for i in order]
+        )
+    ]
+    assert len(later) == 6
+    text = json.dumps([c.to_dict() for c in results], sort_keys=True)
+    digest = "237130ea2bf9647cd0e22bf3e87891c293a69633938ae93d0ba6c3dc14d1f066"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 NON_AFFINE_CASES = {

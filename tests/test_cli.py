@@ -281,6 +281,16 @@ STDOUT_DIGESTS = {
         ["audit", "--family", "cycle", "--n", "10", "--q", "2", "--budget", "1099511627776"],
         "eb7d9cb9ea3cdc97724cd62b20acaa302d10143ef1d7169dbe299ba71ee625a9",
     ),
+    # leaking audits of every target: a cycle's closing edge (1, n) is read
+    # second in query order, so the read order of h differs from its edge order
+    "cycle6-q3-degraded": (
+        ["audit", "--family", "cycle", "--n", "6", "--q", "3", "--degrade-pads"],
+        "fd73d4060cdbc1c897ca9723274b7b157f591804cfa48b56ed615c212598dc8f",
+    ),
+    "cycle8-degraded": (
+        ["audit", "--family", "cycle", "--n", "8", "--q", "2", "--degrade-pads"],
+        "8d9ea91d00663d5ceb1730db48e6fb6d8ccacbdfb535b9363c2c9ab53c5e13ff",
+    ),
     # two bare slots: 15 witnesses, each from a table of 2^20 outcomes
     "cycle5-L2-degraded-theta1": (
         ["audit", "--family", "cycle", "--n", "5", "--q", "2", "--degrade-pads",

@@ -13,15 +13,14 @@ from graphspir import Graph, PrimeField, SystemState
 PACKAGE_NAMES = {
     "AuditReport", "BudgetExceededError", "CapacityReport", "CheckResult",
     "DEFAULT_BUDGET", "FAMILIES", "Graph", "PrimeField",
-    "RoundTranscript", "ServerStore", "SystemState", "achievable_rate",
-    "build_graph", "capacity_report", "check_database_privacy",
-    "check_reliability", "check_user_privacy", "complete_graph",
-    "cycle_graph", "decode", "from_family", "gen_queries", "init_system",
-    "iter_transcript_outcomes", "parse_edge_list", "path_graph",
-    "pir_reference", "regular_graph", "run_audit", "run_round",
-    "run_round_with_coeffs", "server_answer_slot", "server_view_table",
-    "spir_capacity", "star_graph", "state_from_values", "state_space_size",
-    "transcript_to_dict",
+    "RoundTranscript", "ServerStore", "SystemState", "build_graph",
+    "capacity_report", "check_database_privacy", "check_reliability",
+    "check_user_privacy", "complete_graph", "cycle_graph", "decode",
+    "from_family", "gen_queries", "init_system", "iter_transcript_outcomes",
+    "parse_edge_list", "path_graph", "regular_graph", "run_audit",
+    "run_round", "run_round_with_coeffs", "server_answer_slot",
+    "server_view_table", "star_graph", "state_from_values",
+    "state_space_size", "transcript_to_dict",
 }
 
 CLASS_NAMES = {
